@@ -62,6 +62,7 @@ pub struct FullStats {
 ///
 /// A named [`NextPhase`] builder (rather than a closure) so that
 /// [`PaperStack`] is a nameable type that derives `Debug` and `Clone`.
+/// The step is boxed (see [`PaperStack`]).
 #[derive(Debug, Clone, Copy)]
 pub struct MakeIdReduction {
     params: Params,
@@ -69,32 +70,42 @@ pub struct MakeIdReduction {
 }
 
 impl NextPhase<()> for MakeIdReduction {
-    type Phase = IdReduction;
+    type Phase = Box<IdReduction>;
 
-    fn build(&mut self, (): ()) -> IdReduction {
-        IdReduction::new(self.params, self.channels)
+    fn build(&mut self, (): ()) -> Box<IdReduction> {
+        Box::new(IdReduction::new(self.params, self.channels))
     }
 }
 
-/// Builds step 3 ([`LeafElection`]) from the id adopted in step 2.
+/// Builds step 3 ([`LeafElection`]) from the id adopted in step 2, boxed
+/// like step 2.
 #[derive(Debug, Clone, Copy)]
 pub struct MakeLeafElection {
     channels: u32,
 }
 
 impl NextPhase<u32> for MakeLeafElection {
-    type Phase = LeafElection;
+    type Phase = Box<LeafElection>;
 
-    fn build(&mut self, id: u32) -> LeafElection {
-        LeafElection::new(self.channels, id)
+    fn build(&mut self, id: u32) -> Box<LeafElection> {
+        Box::new(LeafElection::new(self.channels, id))
     }
 }
 
 /// The paper's Theorem 4 pipeline as a composed phase stack:
 /// `Reduce → IdReduction → LeafElection`, with the single-channel
 /// [`CdTournament`] branch when `C` is below the fallback threshold.
+///
+/// A stack is as large as its largest inline variant, and every node
+/// carries that size from construction. Almost every node retires in
+/// `Reduce`, so the later steps are boxed: only the survivors that reach
+/// them pay for their state (one allocation per handoff).
 pub type PaperStack = WithFallback<
-    AndThen<AndThen<Reduce, IdReduction, MakeIdReduction>, LeafElection, MakeLeafElection>,
+    AndThen<
+        AndThen<Reduce, Box<IdReduction>, MakeIdReduction>,
+        Box<LeafElection>,
+        MakeLeafElection,
+    >,
     CdTournament,
 >;
 
@@ -115,6 +126,7 @@ pub struct MakePaperStack {
 impl BuildPhase for MakePaperStack {
     type Phase = PaperStack;
 
+    #[inline]
     fn build(&mut self) -> PaperStack {
         let use_fallback = self.channels < self.params.fallback_below_channels;
         Reduce::with_params(self.params, self.n)

@@ -50,6 +50,7 @@ impl Params {
     /// Constants tuned for execution at laptop scales. Same asymptotics,
     /// usable at `C` as small as 8.
     #[must_use]
+    #[inline]
     pub fn practical() -> Self {
         Params {
             knock_divisor: 2.0,
@@ -67,12 +68,19 @@ impl Params {
     }
 
     /// Number of knock-out iterations `Reduce` performs for `n` possible
-    /// nodes: `reduce_factor · ⌈lg lg n⌉` (each iteration is two rounds).
+    /// nodes: `reduce_factor · max(⌈lg lg n⌉, 1)` (each iteration is two
+    /// rounds), with `n` clamped to at least 2.
+    ///
+    /// Computed on integers: `⌈lg lg n⌉ = ⌈lg ⌈lg n⌉⌉`, the least `k` with
+    /// `n ≤ 2^(2^k)`, so at most 6 for any `u64`.
     #[must_use]
+    #[inline]
     pub fn reduce_iterations(&self, n: u64) -> u32 {
-        let lg = (n.max(2) as f64).log2();
-        let lglg = lg.log2().max(0.0);
-        self.reduce_factor * (lglg.ceil() as u32).max(1)
+        // ⌈lg n⌉ ∈ 1..=64 for n ≥ 2.
+        let lg = u64::BITS - (n.max(2) - 1).leading_zeros();
+        // ⌈lg ⌈lg n⌉⌉ ∈ 0..=6; it is 0 only for n = 2.
+        let lglg = u32::BITS - (lg - 1).leading_zeros();
+        self.reduce_factor * lglg.max(1)
     }
 }
 
@@ -86,6 +94,7 @@ impl Default for Params {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn paper_constants_are_literal() {
@@ -116,6 +125,59 @@ mod tests {
         assert_eq!(p.reduce_iterations(256), 3);
         assert_eq!(p.reduce_iterations(1 << 16), 4);
         assert_eq!(p.reduce_iterations(u64::MAX), 6);
+    }
+
+    /// The floating-point definition the integer form replaced, kept only
+    /// as the oracle it must match bit for bit.
+    fn float_reduce_iterations(p: &Params, n: u64) -> u32 {
+        let lg = (n.max(2) as f64).log2();
+        let lglg = lg.log2().max(0.0);
+        p.reduce_factor * (lglg.ceil() as u32).max(1)
+    }
+
+    #[test]
+    fn integer_lglg_matches_float_below_2_pow_20() {
+        let p = Params::practical();
+        for n in 0..1u64 << 20 {
+            assert_eq!(
+                p.reduce_iterations(n),
+                float_reduce_iterations(&p, n),
+                "n = {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn integer_lglg_matches_float_at_tower_boundaries() {
+        let p = Params::practical();
+        let mut probes = vec![u64::MAX];
+        for k in 0..6 {
+            let tower = 1u64 << (1u32 << k); // 2^(2^k), k = 0..5
+            probes.extend(tower.saturating_sub(3)..=tower + 3);
+        }
+        // 2^(2^6) = 2^64 is one past u64::MAX: probe just below it.
+        probes.extend(u64::MAX - 3..u64::MAX);
+        for n in probes {
+            assert_eq!(
+                p.reduce_iterations(n),
+                float_reduce_iterations(&p, n),
+                "n = {n}"
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn integer_lglg_matches_float_on_random_n(
+            raw in any::<u64>(),
+            shift in 0u32..64,
+            factor in 1u32..=4,
+        ) {
+            let p = Params { reduce_factor: factor, ..Params::practical() };
+            // Shifting spreads the draws over every magnitude of n.
+            let n = raw >> shift;
+            prop_assert_eq!(p.reduce_iterations(n), float_reduce_iterations(&p, n));
+        }
     }
 
     #[test]

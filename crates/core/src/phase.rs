@@ -241,6 +241,44 @@ pub trait Phase {
     }
 }
 
+/// A boxed phase runs exactly like the phase it holds. Boxing a successor
+/// that most nodes never reach keeps it off every node: an enum is as large
+/// as its largest inline variant (see [`crate::PaperStack`]).
+impl<P: Phase> Phase for Box<P> {
+    type Output = P::Output;
+
+    #[inline]
+    fn act(&mut self, ctx: &RoundContext, rng: &mut SmallRng) -> Action<u32> {
+        (**self).act(ctx, rng)
+    }
+
+    #[inline]
+    fn observe(&mut self, ctx: &RoundContext, feedback: Feedback<u32>, rng: &mut SmallRng) {
+        (**self).observe(ctx, feedback, rng);
+    }
+
+    #[inline]
+    fn outcome(&self) -> Option<PhaseOutcome<P::Output>> {
+        (**self).outcome()
+    }
+
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn label(&self) -> &'static str {
+        (**self).label()
+    }
+
+    fn collect_stats(&self, out: &mut Vec<PhaseStats>) {
+        (**self).collect_stats(out);
+    }
+
+    fn invariant_violation(&self) -> Option<&'static str> {
+        (**self).invariant_violation()
+    }
+}
+
 /// Builds the successor phase of an [`AndThen`] from the predecessor's
 /// completion value.
 ///
@@ -263,28 +301,29 @@ impl<I, P: Phase, F: FnMut(I) -> P> NextPhase<I> for F {
     }
 }
 
-/// Which child of a two-stage combinator is currently running.
+/// Which child of a two-stage combinator is currently running. The
+/// second carries the first's archived spine records, so a node that never
+/// hands off carries no archive.
 #[derive(Debug, Clone)]
 enum Seq<A, B> {
     First(A),
-    Second(B),
+    Second(B, Vec<PhaseStats>),
 }
 
 /// Barrier-synchronized sequential composition of two phases (see
 /// [`Phase::and_then`]).
 ///
 /// While the first phase runs, `AndThen` is transparent. When the first
-/// phase *completes*, its stats are archived, the builder constructs the
-/// second phase from the completion value, and the second phase takes over
-/// from the next `act` — no rounds are lost and no RNG is consumed by the
-/// handoff, so a chained stack is round-for-round identical to running the
-/// phases back to back by hand. If the first phase *terminates*, the
-/// second is never built.
+/// phase *completes*, the builder constructs the second phase from the
+/// completion value, the first phase's stats are archived alongside it,
+/// and the second phase takes over from the next `act` — no rounds are
+/// lost and no RNG is consumed by the handoff, so a chained stack is
+/// round-for-round identical to running the phases back to back by hand.
+/// If the first phase *terminates*, the second is never built.
 #[derive(Debug, Clone)]
 pub struct AndThen<A, B, N> {
     seq: Seq<A, B>,
     next: N,
-    archived: Vec<PhaseStats>,
     /// Whether the pre-`act` handoff check has run. A completion can only
     /// be pending at `act` time when the first phase was complete *at
     /// construction* (observe-time completions advance inside `observe`),
@@ -306,7 +345,6 @@ where
         AndThen {
             seq: Seq::First(first),
             next,
-            archived: Vec::new(),
             primed: false,
         }
     }
@@ -315,7 +353,7 @@ where
     /// finished).
     #[must_use]
     pub fn in_second(&self) -> bool {
-        matches!(self.seq, Seq::Second(_))
+        matches!(self.seq, Seq::Second(..))
     }
 
     /// If the first phase has completed, archive it and build the second.
@@ -324,18 +362,13 @@ where
     /// barrier handoff) and before `act` (so instant phases like [`Pass`]
     /// hand off without consuming a round).
     fn advance(&mut self) {
-        let handoff = match &self.seq {
-            Seq::First(first) => match first.outcome() {
-                Some(PhaseOutcome::Complete(value)) => Some(value),
-                _ => None,
-            },
-            Seq::Second(_) => None,
+        let Seq::First(first) = &self.seq else {
+            return;
         };
-        if let Some(value) = handoff {
-            if let Seq::First(first) = &self.seq {
-                first.collect_stats(&mut self.archived);
-            }
-            self.seq = Seq::Second(self.next.build(value));
+        if let Some(PhaseOutcome::Complete(value)) = first.outcome() {
+            let mut archived = Vec::new();
+            first.collect_stats(&mut archived);
+            self.seq = Seq::Second(self.next.build(value), archived);
         }
     }
 }
@@ -356,7 +389,7 @@ where
         }
         match &mut self.seq {
             Seq::First(first) => first.act(ctx, rng),
-            Seq::Second(second) => second.act(ctx, rng),
+            Seq::Second(second, _) => second.act(ctx, rng),
         }
     }
 
@@ -364,7 +397,7 @@ where
     fn observe(&mut self, ctx: &RoundContext, feedback: Feedback<u32>, rng: &mut SmallRng) {
         match &mut self.seq {
             Seq::First(first) => first.observe(ctx, feedback, rng),
-            Seq::Second(second) => second.observe(ctx, feedback, rng),
+            Seq::Second(second, _) => second.observe(ctx, feedback, rng),
         }
         self.advance();
     }
@@ -378,36 +411,38 @@ where
                 Some(PhaseOutcome::Terminated(status)) => Some(PhaseOutcome::Terminated(status)),
                 _ => None,
             },
-            Seq::Second(second) => second.outcome(),
+            Seq::Second(second, _) => second.outcome(),
         }
     }
 
     fn name(&self) -> &'static str {
         match &self.seq {
             Seq::First(first) => first.name(),
-            Seq::Second(second) => second.name(),
+            Seq::Second(second, _) => second.name(),
         }
     }
 
     fn label(&self) -> &'static str {
         match &self.seq {
             Seq::First(first) => first.label(),
-            Seq::Second(second) => second.label(),
+            Seq::Second(second, _) => second.label(),
         }
     }
 
     fn collect_stats(&self, out: &mut Vec<PhaseStats>) {
-        out.extend_from_slice(&self.archived);
         match &self.seq {
             Seq::First(first) => first.collect_stats(out),
-            Seq::Second(second) => second.collect_stats(out),
+            Seq::Second(second, archived) => {
+                out.extend_from_slice(archived);
+                second.collect_stats(out);
+            }
         }
     }
 
     fn invariant_violation(&self) -> Option<&'static str> {
         match &self.seq {
             Seq::First(first) => first.invariant_violation(),
-            Seq::Second(second) => second.invariant_violation(),
+            Seq::Second(second, _) => second.invariant_violation(),
         }
     }
 }

@@ -85,6 +85,7 @@ impl Reduce {
     ///
     /// Panics if `n < 2` (the problem is defined for `n ≥ 2`).
     #[must_use]
+    #[inline]
     pub fn with_params(params: Params, n: u64) -> Self {
         assert!(n >= 2, "the model requires n >= 2, got {n}");
         Reduce {
