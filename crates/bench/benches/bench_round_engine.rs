@@ -194,7 +194,8 @@ fn bench_round_engine(criterion: &mut Criterion) {
 }
 
 /// One slot of the fully materialized sparse-regime population: boxed so
-/// the 2²⁰ − |A| fillers cost a tag word each, not a full algorithm.
+/// the 2²⁰ − |A| fillers cost a tag word each, not a full algorithm. Each
+/// filler also keeps a 16 B wake-agenda entry, since it stays pending.
 enum WideSlot {
     /// A real contender (slots `0..ACTIVE`, so its per-node RNG stream —
     /// derived from the slot index — matches the sparse run's exactly and

@@ -23,13 +23,13 @@
 //! never iterates "all nodes" per round: each node slot carries a
 //! [`SlotState`] and the round loop touches only the **live set** — a
 //! NodeId-ordered vector of the currently schedulable node indices — fed
-//! by a *wake agenda* (slots indexed by scheduled wake round, drained as
-//! the clock passes them) and drained by *retirement* (terminated or
-//! crashed slots are compacted out at the end of the round). Per-round
-//! cost is `O(|live| + dirty channels)` regardless of how many slots were
-//! ever added; see `docs/MODEL.md` for the complexity table and
-//! [`crate::dense`] for the O(n) reference scheduler the equivalence
-//! suite pins this against.
+//! by a *wake agenda* (one flat queue of `(wake round, NodeId)` entries,
+//! popped from the front as the clock passes them) and drained by
+//! *retirement* (terminated or crashed slots are compacted out at the end
+//! of the round). Per-round cost is `O(|live| + dirty channels)`
+//! regardless of how many slots were ever added; see `docs/MODEL.md` for
+//! the complexity table and [`crate::dense`] for the O(n) reference
+//! scheduler the equivalence suite pins this against.
 //!
 //! **Ordering contract.** The live set is kept sorted by [`NodeId`] at all
 //! times, so acting, delivery, and event-sink order are exactly the
@@ -40,7 +40,7 @@
 //! are produced by a NodeId-ordered slot scan, independent of live-set
 //! internals.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::fmt;
 
 use rand::rngs::SmallRng;
@@ -259,10 +259,15 @@ pub struct Engine<P: Protocol, F: FeedbackModel = CdMode> {
     /// Slots still [`SlotState::Pending`], including never-wakeable ones
     /// (a slot added with a `start_round` already in the past never fires).
     unwoken: usize,
-    /// The wake agenda: pending slot indices keyed by scheduled wake
-    /// round, drained with one `O(log W)` lookup per round instead of an
-    /// `O(n)` scan.
-    agenda: BTreeMap<u64, Vec<usize>>,
+    /// The wake agenda: one `(wake round, slot index)` entry per slot
+    /// added, kept in (round, NodeId) order and popped from the front as
+    /// the clock reaches each round, instead of an `O(n)` scan. Appends
+    /// arrive in NodeId order, so the queue is already sorted unless a
+    /// slot was added with an earlier round than the back entry's.
+    agenda: VecDeque<(u64, usize)>,
+    /// Set when an append broke the agenda's order; the next round sorts
+    /// the queue once before draining it.
+    agenda_unsorted: bool,
     /// The live set: indices of [`SlotState::Live`] slots, always sorted
     /// in NodeId order (see the module docs' ordering contract). The
     /// per-round loops iterate this instead of `nodes`.
@@ -324,7 +329,8 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
             },
             latest_wake: 0,
             unwoken: 0,
-            agenda: BTreeMap::new(),
+            agenda: VecDeque::new(),
+            agenda_unsorted: false,
             live: Vec::new(),
             crashed_count: 0,
             retired_this_round: false,
@@ -360,9 +366,9 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
     /// Staggered wake-ups model the harder non-simultaneous variant of the
     /// problem discussed in §3 of the paper. May also be called *mid-run*
     /// (between [`Engine::step`] calls) to inject arrivals incrementally —
-    /// the [`crate::traffic`] layer does exactly that: the new slot lands
-    /// in its agenda bucket in O(log W) without touching the live set, and
-    /// a latched stop condition is re-armed, since a population with a
+    /// the [`crate::traffic`] layer does exactly that: the new slot is
+    /// appended to the wake agenda in O(1) without touching the live set,
+    /// and a latched stop condition is re-armed, since a population with a
     /// pending slot is no longer all-terminated.
     pub fn add_node_at(&mut self, protocol: P, start_round: u64) -> NodeId {
         self.run.finished = false;
@@ -376,10 +382,17 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
         });
         self.latest_wake = self.latest_wake.max(start_round);
         self.unwoken += 1;
-        // Nodes are added in NodeId order, so each agenda bucket stays
-        // NodeId-sorted by construction — which keeps wake-time merges
-        // into the live set cheap and order-stable.
-        self.agenda.entry(start_round).or_default().push(id.0);
+        // Nodes are added in NodeId order, so appending keeps the agenda
+        // in (round, NodeId) order unless this slot wakes before the back
+        // entry does; then the next round sorts it once.
+        if self
+            .agenda
+            .back()
+            .is_some_and(|&(back_round, _)| start_round < back_round)
+        {
+            self.agenda_unsorted = true;
+        }
+        self.agenda.push_back((start_round, id.0));
         self.run.metrics.transmissions_per_node.push(0);
         id
     }
@@ -455,7 +468,7 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
             SlotState::Pending => {
                 // Died before it ever woke: drop it from the wake path.
                 // Its agenda entry stays behind and is skipped (cheaply)
-                // when the bucket drains.
+                // when the clock reaches its round.
                 slot.state = to;
                 self.unwoken -= 1;
                 if to == SlotState::Crashed {
@@ -593,43 +606,53 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
             self.compact_live();
         }
 
-        // Wake-ups scheduled for this round: one agenda lookup, touching
-        // only the slots that actually wake now.
-        if self.unwoken > 0 {
-            if let Some(batch) = self.agenda.remove(&round) {
-                let mut appended = 0usize;
-                for idx in batch {
-                    let slot = &mut self.nodes[idx];
-                    if slot.state != SlotState::Pending {
-                        continue; // crashed before it ever woke
-                    }
-                    slot.state = SlotState::Live;
-                    self.unwoken -= 1;
-                    let ctx = RoundContext {
-                        round,
-                        local_round: 0,
-                        channels: self.config.channels,
-                    };
-                    slot.protocol.on_wake(&ctx, &mut slot.rng);
-                    if slot.protocol.status().is_terminated() {
-                        // Terminated inside on_wake: park without ever
-                        // entering the live set.
-                        slot.state = SlotState::Terminated;
-                        sink.on_retired(round, NodeId(idx), SlotState::Terminated);
-                        continue;
-                    }
-                    self.live.push(idx);
-                    appended += 1;
-                }
-                // Restore the NodeId ordering contract. Agenda buckets are
-                // NodeId-sorted, so appending is already correct unless a
-                // later wake round brings in smaller ids than the tail.
-                if appended > 0 {
-                    let split = self.live.len() - appended;
-                    if split > 0 && self.live[split - 1] > self.live[split] {
-                        self.live.sort_unstable();
-                    }
-                }
+        // Wake-ups scheduled for this round: pop the agenda's front,
+        // touching only the slots that actually wake now. Entries are
+        // unique, so the unstable sort yields the one (round, NodeId)
+        // order. Entries for rounds already past were added behind the
+        // clock; they never fire, so those slots stay `Pending`.
+        if self.agenda_unsorted {
+            self.agenda.make_contiguous().sort_unstable();
+            self.agenda_unsorted = false;
+        }
+        let mut appended = 0usize;
+        while let Some(&(wake_round, idx)) = self.agenda.front() {
+            if wake_round > round {
+                break;
+            }
+            self.agenda.pop_front();
+            if wake_round < round {
+                continue;
+            }
+            let slot = &mut self.nodes[idx];
+            if slot.state != SlotState::Pending {
+                continue; // crashed before it ever woke
+            }
+            slot.state = SlotState::Live;
+            self.unwoken -= 1;
+            let ctx = RoundContext {
+                round,
+                local_round: 0,
+                channels: self.config.channels,
+            };
+            slot.protocol.on_wake(&ctx, &mut slot.rng);
+            if slot.protocol.status().is_terminated() {
+                // Terminated inside on_wake: park without ever
+                // entering the live set.
+                slot.state = SlotState::Terminated;
+                sink.on_retired(round, NodeId(idx), SlotState::Terminated);
+                continue;
+            }
+            self.live.push(idx);
+            appended += 1;
+        }
+        // Restore the NodeId ordering contract. The agenda pops a round's
+        // slots in NodeId order, so appending is already correct unless a
+        // later wake round brings in smaller ids than the tail.
+        if appended > 0 {
+            let split = self.live.len() - appended;
+            if split > 0 && self.live[split - 1] > self.live[split] {
+                self.live.sort_unstable();
             }
         }
 

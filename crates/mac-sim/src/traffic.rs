@@ -11,14 +11,18 @@
 //!   adversarial batch) decides how many packets arrive each round;
 //! * each arrival becomes one engine slot, injected **incrementally** into
 //!   the active-set wake agenda via
-//!   [`Engine::add_node_at`](crate::Engine::add_node_at) — per-round cost
-//!   stays O(|live| + touched channels), never O(total arrivals);
+//!   [`Engine::add_node_at`](crate::Engine::add_node_at) — an O(1) append
+//!   with no allocation per arrival round, so per-round cost stays
+//!   O(|live| + touched channels), never O(total arrivals);
 //! * a lone primary-channel transmission *delivers* that sender's packet
 //!   and retires the slot ([`SimConfig::continuous_delivery`]), optionally
 //!   re-arming the sender with a fresh packet ([`TrafficSpec::rearm`]);
 //! * the run ends at a round [`TrafficSpec::horizon`], or when the backlog
 //!   drains after the arrival window closes, or when
-//!   [`SimConfig::round_budget`] trips — never by a global solve.
+//!   [`SimConfig::round_budget`] trips — never by a global solve;
+//! * the engine runs with [`SimConfig::record_metrics`] forced off: the
+//!   report reads nothing from the built-in [`Metrics`](crate::Metrics)
+//!   tally, so keeping it would only cost time.
 //!
 //! The result is a [`TrafficReport`]: delivered / offered / dropped
 //! counts, backlog peak and mean, and a [`PowHistogram`] of per-packet
@@ -112,6 +116,9 @@ pub struct ArrivalStream {
     next_round: u64,
     /// Bursty-source phase; sources start on.
     on: bool,
+    /// `e^{-rate}` of the Poisson sampler (the burst rate for bursty
+    /// sources), computed once rather than every round.
+    poisson_limit: f64,
 }
 
 impl ArrivalStream {
@@ -119,22 +126,27 @@ impl ArrivalStream {
     /// it never collides with node or fault RNG streams).
     #[must_use]
     pub fn new(process: ArrivalProcess, window: u64, master_seed: u64) -> Self {
+        let poisson_limit = match process {
+            ArrivalProcess::Poisson { rate } => (-rate).exp(),
+            ArrivalProcess::Bursty { burst_rate, .. } => (-burst_rate).exp(),
+            ArrivalProcess::FixedRate { .. } | ArrivalProcess::Batch { .. } => 0.0,
+        };
         ArrivalStream {
             process,
             rng: SmallRng::seed_from_u64(derive_stream_seed(master_seed, ARRIVAL_STREAM)),
             window,
             next_round: 0,
             on: true,
+            poisson_limit,
         }
     }
 
     /// Knuth's product-of-uniforms Poisson sampler; fine for the per-round
-    /// rates traffic sweeps use (λ ≲ 30).
-    fn poisson(rng: &mut SmallRng, rate: f64) -> u32 {
+    /// rates traffic sweeps use (λ ≲ 30). `limit` is `e^{-rate}`.
+    fn poisson(rng: &mut SmallRng, rate: f64, limit: f64) -> u32 {
         if rate <= 0.0 {
             return 0;
         }
-        let limit = (-rate).exp();
         let mut k = 0u32;
         let mut p = 1.0f64;
         loop {
@@ -150,14 +162,16 @@ impl ArrivalStream {
     /// rounds — [`ArrivalStream::next_batch`] does.
     fn count_at(&mut self, round: u64) -> u32 {
         match self.process {
-            ArrivalProcess::Poisson { rate } => Self::poisson(&mut self.rng, rate),
+            ArrivalProcess::Poisson { rate } => {
+                Self::poisson(&mut self.rng, rate, self.poisson_limit)
+            }
             ArrivalProcess::Bursty {
                 burst_rate,
                 on_to_off,
                 off_to_on,
             } => {
                 let count = if self.on {
-                    Self::poisson(&mut self.rng, burst_rate)
+                    Self::poisson(&mut self.rng, burst_rate, self.poisson_limit)
                 } else {
                     0
                 };
@@ -412,11 +426,14 @@ impl EventSink for DeliveryCapture {
 }
 
 /// Forces the run shape traffic needs, whatever the caller passed:
-/// continuous delivery on, and no stop at the first solve.
+/// continuous delivery on, and no stop at the first solve. The built-in
+/// [`Metrics`](crate::Metrics) tally is off too: the engine is private to
+/// the driver and [`TrafficReport`] reads nothing from it.
 fn traffic_config(config: SimConfig) -> SimConfig {
     config
         .continuous_delivery(true)
         .stop_when(StopWhen::AllTerminated)
+        .record_metrics(false)
 }
 
 /// Runs a traffic workload on the active-set engine.
@@ -424,7 +441,8 @@ fn traffic_config(config: SimConfig) -> SimConfig {
 /// `make` builds the protocol for the `i`-th packet (0-based arrival
 /// sequence number); its RNG is derived per node from the master seed as
 /// usual. The configuration's `stop_when` is overridden (traffic never
-/// stops on a solve) and `continuous_delivery` is forced on.
+/// stops on a solve), `continuous_delivery` is forced on, and
+/// `record_metrics` is forced off.
 ///
 /// # Errors
 ///
@@ -772,6 +790,55 @@ mod tests {
         assert!(a.windows(2).all(|w| w[0].0 < w[1].0), "rounds increase");
         let c = drain(ArrivalStream::new(p, 200, 43));
         assert_ne!(a, c, "different seeds, different schedules");
+    }
+
+    /// Known answers for the seeded samplers: the first 32 batches of a
+    /// Poisson and a bursty source at two seeds each. The equivalence
+    /// suites run one stream on both engines, so only this test notices a
+    /// change to the stream itself.
+    #[test]
+    fn arrival_stream_known_answers() {
+        let first_32 = |process, seed| {
+            let mut s = ArrivalStream::new(process, 100_000, seed);
+            (0..32).map(|_| s.next_batch().unwrap()).collect::<Vec<_>>()
+        };
+        let poisson = ArrivalProcess::Poisson { rate: 0.25 };
+        let bursty = ArrivalProcess::Bursty {
+            burst_rate: 1.5,
+            on_to_off: 0.1,
+            off_to_on: 0.2,
+        };
+        type First32 = [(u64, u32); 32];
+        #[rustfmt::skip]
+        let cases: [(ArrivalProcess, u64, First32); 4] = [
+            (poisson, 7, [
+                (0, 1), (4, 1), (7, 1), (8, 1), (18, 1), (19, 1), (20, 1), (21, 1),
+                (22, 1), (34, 1), (53, 1), (55, 1), (63, 2), (80, 1), (83, 1), (89, 1),
+                (91, 1), (97, 1), (105, 2), (107, 1), (119, 2), (120, 1), (130, 1), (135, 2),
+                (137, 1), (150, 1), (151, 1), (152, 1), (153, 1), (154, 1), (167, 1), (171, 1),
+            ]),
+            (poisson, 8, [
+                (5, 1), (7, 1), (11, 1), (12, 1), (17, 1), (18, 1), (29, 1), (35, 1),
+                (37, 1), (43, 1), (44, 1), (46, 1), (47, 1), (49, 1), (61, 2), (62, 1),
+                (67, 1), (72, 1), (74, 1), (86, 1), (90, 1), (98, 1), (105, 1), (116, 1),
+                (126, 1), (130, 2), (134, 1), (137, 1), (138, 1), (141, 1), (144, 1), (158, 1),
+            ]),
+            (bursty, 7, [
+                (0, 3), (1, 2), (2, 1), (3, 2), (4, 1), (5, 2), (6, 4), (10, 2),
+                (18, 2), (19, 2), (20, 2), (21, 2), (22, 1), (23, 1), (24, 1), (25, 5),
+                (26, 1), (27, 1), (29, 1), (30, 2), (31, 2), (32, 2), (33, 1), (34, 4),
+                (36, 4), (37, 2), (38, 3), (42, 1), (43, 2), (46, 3), (48, 2), (49, 1),
+            ]),
+            (bursty, 8, [
+                (0, 1), (2, 2), (3, 2), (4, 1), (5, 1), (7, 1), (8, 1), (10, 1),
+                (11, 1), (12, 1), (15, 1), (16, 1), (17, 1), (19, 2), (20, 3), (21, 2),
+                (22, 1), (23, 1), (24, 2), (25, 3), (26, 2), (27, 1), (28, 3), (29, 1),
+                (35, 1), (37, 1), (38, 2), (40, 2), (41, 3), (42, 2), (43, 1), (44, 1),
+            ]),
+        ];
+        for (process, seed, want) in cases {
+            assert_eq!(first_32(process, seed), want, "{process:?} seed {seed}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use mac_sim::fault::{CrashStop, JamBudget, Layered, LossyChannel, NoisyCd};
 use mac_sim::obs::{RunRecord, RunRecorder};
 use mac_sim::{
     Action, CdMode, ChannelId, Engine, Feedback, FeedbackModel, Metrics, NodeId, Protocol,
-    RoundContext, RunReport, SimConfig, Status,
+    RoundContext, RunReport, SimConfig, SlotState, Status, StepStatus, StopWhen,
 };
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
@@ -118,86 +118,213 @@ struct Workload {
     wake_offsets: Vec<u64>,
     cd_mode: CdMode,
     faults: FaultChoice,
+    stop_when: StopWhen,
 }
 
 #[derive(Debug, Clone, Copy)]
 enum FaultChoice {
     Clean,
-    CrashRandom { f: usize, window: u64 },
-    Assassin { kills: u64 },
-    JamBudget { budget: u64 },
+    CrashRandom {
+        f: usize,
+        window: u64,
+    },
+    Assassin {
+        kills: u64,
+    },
+    JamBudget {
+        budget: u64,
+    },
     Stacked,
+    /// Crash one node at one round (scheduled, no randomness).
+    CrashAt {
+        node: usize,
+        round: u64,
+    },
 }
 
 fn config(w: &Workload) -> SimConfig {
     SimConfig::new(w.channels)
         .seed(w.seed)
         .cd_mode(w.cd_mode)
+        .stop_when(w.stop_when)
         .max_rounds(200_000)
         .round_budget(5_000)
 }
 
-/// Runs the workload on either engine via the two closures, so active-set
-/// and dense runs are built by the exact same code path.
-fn run_workload(w: &Workload, dense: bool) -> Fingerprint {
-    fn drive<F: FeedbackModel>(w: &Workload, feedback: F, dense: bool) -> Fingerprint {
-        let mut recorder = RunRecorder::new();
-        let outcome = if dense {
-            let mut eng = DenseEngine::with_feedback(config(w), feedback);
-            for &offset in &w.wake_offsets {
-                eng.add_node_at(Backoff::new(w.channels), offset);
-            }
-            eng.run_observed(&mut recorder)
-        } else {
-            let mut eng = Engine::with_feedback(config(w), feedback);
-            for &offset in &w.wake_offsets {
-                eng.add_node_at(Backoff::new(w.channels), offset);
-            }
-            eng.run_observed(&mut recorder)
-        };
-        let key = outcome
-            .as_ref()
-            .map(report_key)
-            .map_err(|e| format!("{e:?}"));
-        let mut record = recorder.into_record(w.seed);
-        // Wall-clock fields are the one legitimately nondeterministic part
-        // of a record; everything else must match bit for bit.
-        record.wall_ns = 0;
-        for span in &mut record.spans {
-            span.wall_ns = 0;
-        }
-        (key, record)
-    }
+/// A run over some [`FeedbackModel`]: [`with_faults`] builds the
+/// workload's fault stack and hands it to `run`, so every driver shares
+/// one fault table.
+trait FaultedRun {
+    type Out;
+    fn run<F: FeedbackModel>(self, feedback: F) -> Self::Out;
+}
 
+fn with_faults<R: FaultedRun>(w: &Workload, run: R) -> R::Out {
     let n = w.wake_offsets.len();
     match w.faults {
-        FaultChoice::Clean => drive(w, w.cd_mode, dense),
-        FaultChoice::CrashRandom { f, window } => drive(
-            w,
-            Layered::new(CrashStop::random(f.min(n), n, window), w.cd_mode),
-            dense,
-        ),
-        FaultChoice::Assassin { kills } => drive(
-            w,
-            Layered::new(CrashStop::assassin(kills), w.cd_mode),
-            dense,
-        ),
-        FaultChoice::JamBudget { budget } => drive(w, JamBudget::new(w.cd_mode, budget), dense),
-        FaultChoice::Stacked => drive(
-            w,
+        FaultChoice::Clean => run.run(w.cd_mode),
+        FaultChoice::CrashRandom { f, window } => run.run(Layered::new(
+            CrashStop::random(f.min(n), n, window),
+            w.cd_mode,
+        )),
+        FaultChoice::Assassin { kills } => {
+            run.run(Layered::new(CrashStop::assassin(kills), w.cd_mode))
+        }
+        FaultChoice::JamBudget { budget } => run.run(JamBudget::new(w.cd_mode, budget)),
+        FaultChoice::Stacked => run.run(Layered::new(
+            NoisyCd::symmetric(0.05),
             Layered::new(
-                NoisyCd::symmetric(0.05),
+                LossyChannel::new(0.05),
                 Layered::new(
-                    LossyChannel::new(0.05),
-                    Layered::new(
-                        CrashStop::random(1.min(n), n, 16),
-                        JamBudget::new(w.cd_mode, 1),
-                    ),
+                    CrashStop::random(1.min(n), n, 16),
+                    JamBudget::new(w.cd_mode, 1),
                 ),
             ),
-            dense,
-        ),
+        )),
+        FaultChoice::CrashAt { node, round } => run.run(Layered::new(
+            CrashStop::schedule(vec![(NodeId(node), round)]),
+            w.cd_mode,
+        )),
     }
+}
+
+/// Runs the workload to completion on either engine, building both runs
+/// by the exact same code path.
+fn run_workload(w: &Workload, dense: bool) -> Fingerprint {
+    struct ToFinish<'a> {
+        w: &'a Workload,
+        dense: bool,
+    }
+    impl FaultedRun for ToFinish<'_> {
+        type Out = Fingerprint;
+        fn run<F: FeedbackModel>(self, feedback: F) -> Fingerprint {
+            let w = self.w;
+            let mut recorder = RunRecorder::new();
+            let outcome = if self.dense {
+                let mut eng = DenseEngine::with_feedback(config(w), feedback);
+                for &offset in &w.wake_offsets {
+                    eng.add_node_at(Backoff::new(w.channels), offset);
+                }
+                eng.run_observed(&mut recorder)
+            } else {
+                let mut eng = Engine::with_feedback(config(w), feedback);
+                for &offset in &w.wake_offsets {
+                    eng.add_node_at(Backoff::new(w.channels), offset);
+                }
+                eng.run_observed(&mut recorder)
+            };
+            let key = outcome
+                .as_ref()
+                .map(report_key)
+                .map_err(|e| format!("{e:?}"));
+            let mut record = recorder.into_record(w.seed);
+            // Wall-clock fields are the one legitimately nondeterministic
+            // part of a record; everything else must match bit for bit.
+            record.wall_ns = 0;
+            for span in &mut record.spans {
+                span.wall_ns = 0;
+            }
+            (key, record)
+        }
+    }
+    with_faults(w, ToFinish { w, dense })
+}
+
+/// The start round of a slot injected between two steps, relative to the
+/// round the next step executes.
+#[derive(Debug, Clone, Copy)]
+enum Inject {
+    /// `now + k`: below the agenda's tail whenever a later wake is already
+    /// queued, which makes the next step sort the agenda first.
+    Ahead(u64),
+    /// `now`: wakes in the very next step.
+    Now,
+    /// `now - k`, saturating: behind the clock, so the slot never wakes.
+    Past(u64),
+    /// `u64::MAX`: never reached.
+    Never,
+}
+
+impl Inject {
+    fn start_round(self, now: u64) -> u64 {
+        match self {
+            Inject::Ahead(k) => now + k,
+            Inject::Now => now,
+            Inject::Past(k) => now.saturating_sub(k),
+            Inject::Never => u64::MAX,
+        }
+    }
+}
+
+/// Everything observable after one step: the step's outcome, the report
+/// so far, both scheduler counters, and every slot's state.
+type StepKey = (
+    Result<StepStatus, String>,
+    RunReportKey,
+    usize,
+    usize,
+    Vec<SlotState>,
+);
+
+/// Adds the workload's initial slots, then steps once per entry of
+/// `injections`, injecting that entry's slots (in order) before the step.
+/// Returns one [`StepKey`] per step.
+fn run_stepped(w: &Workload, injections: &[Vec<Inject>], dense: bool) -> Vec<StepKey> {
+    struct Stepped<'a> {
+        w: &'a Workload,
+        injections: &'a [Vec<Inject>],
+        dense: bool,
+    }
+    // One body for both engines: they share these inherent method names
+    // but no trait.
+    macro_rules! step_script {
+        ($eng:expr, $w:expr, $injections:expr) => {{
+            let mut eng = $eng;
+            for &offset in &$w.wake_offsets {
+                eng.add_node_at(Backoff::new($w.channels), offset);
+            }
+            let mut keys = Vec::new();
+            for batch in $injections {
+                let now = eng.current_round();
+                for inject in batch {
+                    eng.add_node_at(Backoff::new($w.channels), inject.start_round(now));
+                }
+                let status = eng.step_observed(&mut ()).map_err(|e| format!("{e:?}"));
+                let states = (0..eng.len()).map(|i| eng.slot_state(NodeId(i))).collect();
+                keys.push((
+                    status,
+                    report_key(&eng.report()),
+                    eng.pending_len(),
+                    eng.live_len(),
+                    states,
+                ));
+            }
+            keys
+        }};
+    }
+    impl FaultedRun for Stepped<'_> {
+        type Out = Vec<StepKey>;
+        fn run<F: FeedbackModel>(self, feedback: F) -> Vec<StepKey> {
+            let (w, injections) = (self.w, self.injections);
+            if self.dense {
+                step_script!(
+                    DenseEngine::with_feedback(config(w), feedback),
+                    w,
+                    injections
+                )
+            } else {
+                step_script!(Engine::with_feedback(config(w), feedback), w, injections)
+            }
+        }
+    }
+    with_faults(
+        w,
+        Stepped {
+            w,
+            injections,
+            dense,
+        },
+    )
 }
 
 fn cd_mode_strategy() -> impl Strategy<Value = CdMode> {
@@ -218,6 +345,15 @@ fn fault_strategy() -> impl Strategy<Value = FaultChoice> {
     ]
 }
 
+fn inject_strategy() -> impl Strategy<Value = Inject> {
+    prop_oneof![
+        (1u64..24).prop_map(Inject::Ahead),
+        Just(Inject::Now),
+        (1u64..8).prop_map(Inject::Past),
+        Just(Inject::Never),
+    ]
+}
+
 fn workload_strategy() -> impl Strategy<Value = Workload> {
     (
         any::<u64>(),
@@ -232,6 +368,7 @@ fn workload_strategy() -> impl Strategy<Value = Workload> {
             wake_offsets,
             cd_mode,
             faults,
+            stop_when: StopWhen::Solved,
         })
 }
 
@@ -244,6 +381,25 @@ proptest! {
     fn active_set_matches_dense_reference(w in workload_strategy()) {
         let active = run_workload(&w, false);
         let dense = run_workload(&w, true);
+        prop_assert_eq!(active, dense);
+    }
+
+    /// Mid-run and out-of-order injection: slots added between steps at
+    /// rounds below the agenda's tail, at the current round, already in
+    /// the past, and at `u64::MAX`. Both engines must agree after every
+    /// step, not only at the end.
+    #[test]
+    fn stepped_injection_matches_dense_reference(
+        w in workload_strategy(),
+        all_terminated in any::<bool>(),
+        injections in prop_vec(prop_vec(inject_strategy(), 0..3), 1..64),
+    ) {
+        let mut w = w;
+        if all_terminated {
+            w.stop_when = StopWhen::AllTerminated;
+        }
+        let active = run_stepped(&w, &injections, false);
+        let dense = run_stepped(&w, &injections, true);
         prop_assert_eq!(active, dense);
     }
 }
@@ -259,6 +415,7 @@ fn corner_cases_match_dense_reference() {
         wake_offsets: vec![7, 7, 7],
         cd_mode: CdMode::Strong,
         faults: FaultChoice::Clean,
+        stop_when: StopWhen::Solved,
     };
     assert_eq!(run_workload(&base, false), run_workload(&base, true));
 
@@ -278,4 +435,66 @@ fn corner_cases_match_dense_reference() {
         run_workload(&all_dead, false),
         run_workload(&all_dead, true)
     );
+}
+
+/// Deterministic corners of mid-run injection: a slot scheduled behind the
+/// clock, a slot crashed before its wake round, and injections that arrive
+/// out of round order.
+#[test]
+fn injection_corner_cases_match_dense_reference() {
+    let stepped = |w: &Workload, injections: &[Vec<Inject>]| {
+        let active = run_stepped(w, injections, false);
+        assert_eq!(active, run_stepped(w, injections, true));
+        active
+    };
+    let base = Workload {
+        seed: 11,
+        channels: 1,
+        wake_offsets: vec![0],
+        cd_mode: CdMode::Strong,
+        faults: FaultChoice::Clean,
+        stop_when: StopWhen::AllTerminated,
+    };
+
+    // A slot scheduled in the past never wakes: it stays `Pending` and
+    // keeps an otherwise all-terminated run from finishing.
+    let mut injections = vec![Vec::new(); 40];
+    injections[3] = vec![Inject::Past(2)];
+    let keys = stepped(&base, &injections);
+    let (status, _, pending, live, states) = keys.last().unwrap();
+    assert_eq!(status, &Ok(StepStatus::Running));
+    assert_eq!((*pending, *live), (1, 0));
+    assert_eq!(states, &[SlotState::Terminated, SlotState::Pending]);
+
+    // A slot crashed (round 4) before its wake round (6) is skipped when
+    // its round comes: it is never live.
+    let crash = Workload {
+        channels: 4,
+        faults: FaultChoice::CrashAt { node: 1, round: 4 },
+        ..base.clone()
+    };
+    let mut injections = vec![Vec::new(); 12];
+    injections[0] = vec![Inject::Ahead(6)];
+    let keys = stepped(&crash, &injections);
+    assert!(keys.iter().all(|k| k.4[1] != SlotState::Live));
+    assert_eq!(keys[3].4[1], SlotState::Pending);
+    assert_eq!(keys[4].4[1], SlotState::Crashed);
+    assert_eq!(keys[4].2, 0, "the crashed slot is no longer pending");
+
+    // Out of round order: slot 2 (round 9) and slot 3 (round 4) both wake
+    // before slot 1 (round 30), which was queued first.
+    let shuffled = Workload {
+        channels: 4,
+        wake_offsets: vec![0, 30],
+        ..base
+    };
+    let mut injections = vec![Vec::new(); 40];
+    injections[0] = vec![Inject::Ahead(9), Inject::Ahead(4)];
+    let keys = stepped(&shuffled, &injections);
+    assert_eq!(keys[3].4[3], SlotState::Pending);
+    assert_ne!(keys[4].4[3], SlotState::Pending);
+    assert_eq!(keys[8].4[2], SlotState::Pending);
+    assert_ne!(keys[9].4[2], SlotState::Pending);
+    assert_eq!(keys[29].4[1], SlotState::Pending);
+    assert_ne!(keys[30].4[1], SlotState::Pending);
 }

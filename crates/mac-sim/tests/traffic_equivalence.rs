@@ -14,8 +14,8 @@
 
 use mac_sim::fault::{CrashStop, JamBudget, Layered, LossyChannel, NoisyCd};
 use mac_sim::{
-    run_traffic, run_traffic_dense, ArrivalProcess, BackoffMac, CdMode, FeedbackModel, SimConfig,
-    SlottedAloha, TrafficReport, TrafficSpec,
+    run_traffic, run_traffic_dense, ArrivalProcess, ArrivalStream, BackoffMac, CdMode,
+    FeedbackModel, SimConfig, SlottedAloha, TrafficReport, TrafficSpec,
 };
 use proptest::prelude::*;
 
@@ -218,8 +218,8 @@ proptest! {
 
 /// Deterministic spot-checks of corners the random strategy can miss:
 /// a long idle gap between batches (stop-latch re-arming), an overload
-/// that only the budget stops, a crash schedule racing the drain, and a
-/// closed-loop rearm workload.
+/// that only the budget stops, a crash schedule racing the drain, and
+/// closed-loop rearm workloads.
 #[test]
 fn corner_cases_match_dense_reference() {
     let base = Workload {
@@ -269,7 +269,7 @@ fn corner_cases_match_dense_reference() {
     assert_eq!(run_workload(&crashed, false), run_workload(&crashed, true));
 
     // Closed loop: every delivery inside the window re-arms a packet.
-    let mut saturated = base;
+    let mut saturated = base.clone();
     saturated.process = ArrivalProcess::Batch {
         at: 0,
         size: 3,
@@ -281,5 +281,25 @@ fn corner_cases_match_dense_reference() {
     assert_eq!(
         run_workload(&saturated, false),
         run_workload(&saturated, true)
+    );
+
+    // Re-arms past the driver's one-round injection lookahead: each one is
+    // queued behind arrival batches injected later, so the engine's wake
+    // agenda receives out-of-order entries while the stream keeps running.
+    let mut late_rearm = base;
+    late_rearm.process = ArrivalProcess::Poisson { rate: 0.5 };
+    late_rearm.window = 400;
+    late_rearm.rearm = Some(12);
+    let report = run_workload(&late_rearm, false);
+    assert_eq!(report, run_workload(&late_rearm, true));
+    let mut stream = ArrivalStream::new(late_rearm.process, late_rearm.window, late_rearm.seed);
+    let arrivals: u64 = std::iter::from_fn(|| stream.next_batch())
+        .map(|(_, count)| u64::from(count))
+        .sum();
+    let report = report.unwrap();
+    assert!(
+        report.offered > arrivals,
+        "re-arms happened: {} offered, {arrivals} from the stream",
+        report.offered
     );
 }
