@@ -9,8 +9,7 @@
 //! transform.
 
 use mac_sim::{
-    CdMode, Engine, Registry, RunReport, SimConfig, SimError, SparsePopulation, StopWhen,
-    TraceLevel,
+    CdMode, Engine, Registry, RunReport, SimConfig, SimError, SparsePopulation, StopWhen, Trace,
 };
 use std::error::Error;
 use std::fmt;
@@ -129,8 +128,11 @@ impl From<SimError> for SessionError {
 pub struct Resolution {
     /// The algorithm that ran.
     pub algorithm: &'static str,
-    /// The full simulator report (solve round, leaders, metrics, trace).
+    /// The full simulator report (solve round, leaders, metrics).
     pub report: RunReport,
+    /// Every round's channel outcomes when [`Session::trace`] is on;
+    /// empty otherwise.
+    pub trace: Trace,
     /// The solving node's per-phase telemetry spine (see
     /// [`PhaseTelemetry`]): one [`PhaseStats`] record per phase the node
     /// passed through, in execution order. Empty when the run timed out.
@@ -273,7 +275,7 @@ impl Session {
         self
     }
 
-    /// Enables channel tracing in the resulting report.
+    /// Records every round's channel outcomes into [`Resolution::trace`].
     #[must_use]
     pub fn trace(mut self, yes: bool) -> Self {
         self.trace = yes;
@@ -353,75 +355,20 @@ impl Session {
                 self.n
             )));
         }
-        if self.channels < self.algorithm.min_channels() {
-            return Err(SessionError::InvalidConfig(format!(
-                "{} needs at least {} channels, got {}",
-                self.algorithm.name(),
-                self.algorithm.min_channels(),
-                self.channels
-            )));
+        self.check_algorithm(active)?;
+        match &self.wake_offsets {
+            None => self.resolve((0..active).map(|idx| (self.make_node(idx, active), 0))),
+            Some(offsets) if offsets.len() != active => Err(SessionError::InvalidConfig(format!(
+                "{} wake offsets for {active} nodes",
+                offsets.len()
+            ))),
+            Some(offsets) => self.resolve(
+                offsets
+                    .iter()
+                    .enumerate()
+                    .map(|(idx, &off)| (StaggeredStart::new(self.make_node(idx, active)), off)),
+            ),
         }
-        if self.algorithm == Algorithm::TwoActive && active != 2 {
-            return Err(SessionError::InvalidConfig(format!(
-                "two-active solves the |A| = 2 restricted case, got {active}"
-            )));
-        }
-        if let Some(offsets) = &self.wake_offsets {
-            if offsets.len() != active {
-                return Err(SessionError::InvalidConfig(format!(
-                    "{} wake offsets for {active} nodes",
-                    offsets.len()
-                )));
-            }
-        }
-
-        let cfg = SimConfig::new(self.channels)
-            .seed(self.seed)
-            .cd_mode(self.algorithm.cd_mode())
-            .max_rounds(self.max_rounds)
-            .stop_when(if self.run_to_completion {
-                StopWhen::AllTerminated
-            } else {
-                StopWhen::Solved
-            })
-            .trace_level(if self.trace {
-                TraceLevel::Channels
-            } else {
-                TraceLevel::Off
-            });
-
-        let (report, solver_phases) = match &self.wake_offsets {
-            None => {
-                let mut exec = Engine::new(cfg);
-                for idx in 0..active {
-                    exec.add_node(self.make_node(idx, active));
-                }
-                let report = exec.run()?;
-                let phases = report
-                    .solver
-                    .map(|id| exec.node(id).phase_stats())
-                    .unwrap_or_default();
-                (report, phases)
-            }
-            Some(offsets) => {
-                let mut exec = Engine::new(cfg);
-                for (idx, &off) in offsets.iter().enumerate() {
-                    exec.add_node_at(StaggeredStart::new(self.make_node(idx, active)), off);
-                }
-                let report = exec.run()?;
-                let phases = report
-                    .solver
-                    .map(|id| exec.node(id).phase_stats())
-                    .unwrap_or_default();
-                (report, phases)
-            }
-        };
-
-        Ok(Resolution {
-            algorithm: self.algorithm.name(),
-            report,
-            solver_phases,
-        })
     }
 
     /// Runs the session over an explicit [`SparsePopulation`]: the
@@ -459,6 +406,24 @@ impl Session {
                     .into(),
             ));
         }
+        self.check_algorithm(pop.len())?;
+
+        let members = pop.members().iter();
+        if pop.latest_wake() == 0 {
+            self.resolve(members.map(|m| (self.make_node_for_id(m.virtual_id), 0)))
+        } else {
+            // A staggered schedule: apply the §3 transform, exactly like
+            // the wake-offsets path.
+            self.resolve(members.map(|m| {
+                let node = self.make_node_for_id(m.virtual_id);
+                (StaggeredStart::new(node), m.wake_round)
+            }))
+        }
+    }
+
+    /// The checks both entry points share: enough channels for the
+    /// algorithm, and exactly two actives for the two-node specialist.
+    fn check_algorithm(&self, active: usize) -> Result<(), SessionError> {
         if self.channels < self.algorithm.min_channels() {
             return Err(SessionError::InvalidConfig(format!(
                 "{} needs at least {} channels, got {}",
@@ -467,13 +432,20 @@ impl Session {
                 self.channels
             )));
         }
-        if self.algorithm == Algorithm::TwoActive && pop.len() != 2 {
+        if self.algorithm == Algorithm::TwoActive && active != 2 {
             return Err(SessionError::InvalidConfig(format!(
-                "two-active solves the |A| = 2 restricted case, got {}",
-                pop.len()
+                "two-active solves the |A| = 2 restricted case, got {active}"
             )));
         }
+        Ok(())
+    }
 
+    /// Adds each `(node, wake round)` to a fresh engine, runs it, and
+    /// reads the solver's phase spine back out.
+    fn resolve<P: PhaseTelemetry>(
+        &self,
+        nodes: impl Iterator<Item = (P, u64)>,
+    ) -> Result<Resolution, SessionError> {
         let cfg = SimConfig::new(self.channels)
             .seed(self.seed)
             .cd_mode(self.algorithm.cd_mode())
@@ -482,45 +454,25 @@ impl Session {
                 StopWhen::AllTerminated
             } else {
                 StopWhen::Solved
-            })
-            .trace_level(if self.trace {
-                TraceLevel::Channels
-            } else {
-                TraceLevel::Off
             });
-
-        let (report, solver_phases) = if pop.latest_wake() == 0 {
-            let mut exec = Engine::new(cfg);
-            for member in pop.members() {
-                exec.add_node(self.make_node_for_id(member.virtual_id));
-            }
-            let report = exec.run()?;
-            let phases = report
-                .solver
-                .map(|id| exec.node(id).phase_stats())
-                .unwrap_or_default();
-            (report, phases)
+        let mut exec = Engine::new(cfg);
+        for (node, wake) in nodes {
+            exec.add_node_at(node, wake);
+        }
+        let mut trace = Trace::new();
+        let report = if self.trace {
+            exec.run_observed(&mut trace)?
         } else {
-            // A staggered schedule: apply the §3 transform, exactly like
-            // the wake-offsets path.
-            let mut exec = Engine::new(cfg);
-            for member in pop.members() {
-                exec.add_node_at(
-                    StaggeredStart::new(self.make_node_for_id(member.virtual_id)),
-                    member.wake_round,
-                );
-            }
-            let report = exec.run()?;
-            let phases = report
-                .solver
-                .map(|id| exec.node(id).phase_stats())
-                .unwrap_or_default();
-            (report, phases)
+            exec.run()?
         };
-
+        let solver_phases = report
+            .solver
+            .map(|id| exec.node(id).phase_stats())
+            .unwrap_or_default();
         Ok(Resolution {
             algorithm: self.algorithm.name(),
             report,
+            trace,
             solver_phases,
         })
     }
@@ -671,7 +623,7 @@ mod tests {
             .seed(1)
             .run(10)
             .expect("solves");
-        assert!(!res.report.trace.is_empty());
+        assert!(!res.trace.is_empty());
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn early_crashes_of_most_nodes_are_harmless() {
         .map(|idx| (NodeId(idx), 2))
         .collect();
     let reports = run_trials(10, 0, |seed| {
-        engine_with_crashes(500, crashes.clone(), seed, 100_000)
+        engine_with_crashes(500, crashes.clone(), seed, 100_000).run()
     });
     for (seed, report) in reports.iter().enumerate() {
         assert!(report.is_solved(), "seed {seed}");
@@ -95,7 +95,7 @@ fn random_crash_waves_leave_survivors_that_solve() {
         for _ in 0..300 {
             engine.add_node(FullAlgorithm::new(Params::practical(), C, N));
         }
-        engine
+        engine.run()
     });
     for (i, report) in reports.iter().enumerate() {
         assert!(report.is_solved(), "seed {}", 100 + i);

@@ -16,7 +16,8 @@
 //!   --trials    run T seeded sessions (seed, seed+1, …) through the
 //!               campaign scheduler and print streamed summary statistics
 //!               instead of one run's story            (default: 1)
-//!   --trace     print the channel-activity chart of the run
+//!   --trace     print the channel-activity chart of the run (one run
+//!               only: rejected together with --trials T > 1)
 //!   --complete  run until every node terminates (default: stop at solve)
 //!   --metrics   append the session-layer telemetry (runs, rounds, energy,
 //!               solve-round histogram, supervised restarts) as Prometheus
@@ -41,7 +42,8 @@ struct Args {
     metrics: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the flags that follow the program name.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         algo: Algorithm::Paper(Params::practical()),
         channels: 64,
@@ -53,7 +55,6 @@ fn parse_args() -> Result<Args, String> {
         complete: false,
         metrics: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| -> Result<&String, String> {
@@ -120,6 +121,9 @@ fn parse_args() -> Result<Args, String> {
             }
             other => return Err(format!("unknown flag: {other}")),
         }
+    }
+    if args.trace && args.trials > 1 {
+        return Err("--trace charts one run; it cannot be combined with --trials > 1".into());
     }
     Ok(args)
 }
@@ -190,7 +194,8 @@ fn run_trials(args: &Args) {
 }
 
 fn main() {
-    let args = match parse_args() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
         Ok(args) => args,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -245,10 +250,7 @@ fn main() {
             println!("rounds by phase: {}", phases.join(" "));
             if args.trace {
                 println!("\nactivity (S silence, M message, X collision):");
-                print!(
-                    "{}",
-                    mac_sim::render::activity_chart(&resolution.report.trace, 60)
-                );
+                print!("{}", mac_sim::render::activity_chart(&resolution.trace, 60));
             }
             if args.metrics {
                 let hub = MetricsHub::new(1);
@@ -260,5 +262,31 @@ fn main() {
             eprintln!("error: {e}");
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(flags: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = flags.iter().map(|f| (*f).to_string()).collect();
+        parse_args(&argv)
+    }
+
+    #[test]
+    fn trace_is_rejected_with_several_trials() {
+        let err = parse(&["--trials", "3", "--trace"])
+            .err()
+            .expect("rejected");
+        assert!(err.contains("--trace"), "{err}");
+        assert!(parse(&["--trace", "--trials", "2"]).is_err());
+    }
+
+    #[test]
+    fn trace_is_accepted_for_one_run() {
+        assert!(parse(&["--trace"]).expect("parses").trace);
+        assert!(parse(&["--trace", "--trials", "1"]).expect("parses").trace);
+        assert_eq!(parse(&["--trials", "4"]).expect("parses").trials, 4);
     }
 }

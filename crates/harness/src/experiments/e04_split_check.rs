@@ -13,7 +13,7 @@ use mac_sim::{Engine, SimConfig, StopWhen};
 
 use super::seed_base;
 use crate::{ExperimentReport, RunCtx};
-use mac_sim::trials::run_trials_with;
+use mac_sim::trials::run_trials;
 
 /// Probe rounds `SplitCheck` spends to locate divergence level `target` in
 /// a tree of height `h` — the recursion of Fig. 1, counted exactly.
@@ -71,10 +71,8 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
 
     // Cross-check against real executions at one configuration.
     let c = 1024u32;
-    let measured: Vec<(u32, u32, u64)> = run_trials_with(
-        scale.trials(),
-        seed_base("e4", u64::from(c), 0),
-        |s| {
+    let measured: Vec<(u32, u32, u64)> =
+        run_trials(scale.trials(), seed_base("e4", u64::from(c), 0), |s| {
             let cfg = SimConfig::new(c)
                 .seed(s)
                 .stop_when(StopWhen::AllTerminated)
@@ -82,17 +80,14 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             let mut exec = Engine::new(cfg);
             exec.add_node(TwoActive::new(c, 1 << 20));
             exec.add_node(TwoActive::new(c, 1 << 20));
-            exec
-        },
-        |exec, _| {
+            exec.run()?;
             let stats: Vec<_> = exec.iter_nodes().map(TwoActive::stats).collect();
-            (
+            Ok((
                 stats[0].adopted_id.expect("renamed"),
                 stats[1].adopted_id.expect("renamed"),
                 stats[0].search_rounds,
-            )
-        },
-    );
+            ))
+        });
     let tree = ChannelTree::new(c);
     let mut mismatches = 0usize;
     for &(a, b, rounds) in &measured {

@@ -5,12 +5,12 @@
 use contention::{IdReduction, IdReductionOutcome, Params};
 use contention_analysis::{Summary, Table};
 use mac_sim::campaign::SeedStream;
-use mac_sim::{Engine, SimConfig, StopWhen, TraceLevel};
+use mac_sim::{Engine, SimConfig, StopWhen, Trace};
 use std::collections::HashSet;
 
 use super::seed_base;
 use crate::{ExperimentReport, RunCtx, Samples};
-use mac_sim::trials::run_trials_with;
+use mac_sim::trials::run_trials;
 
 /// One trial's digest: (rounds, surviving ids).
 type Digest = (u64, Vec<u32>);
@@ -163,29 +163,26 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
     // transmitter count in that round *is* |A_r|). One bounded batch on the
     // trial layer — itself a single-cell campaign — feeding several rows.
     let (c, active) = (64u32, 200usize);
-    let trajectories: Vec<Vec<u64>> = run_trials_with(
+    let trajectories: Vec<Vec<u64>> = run_trials(
         scale.trials().min(30),
         super::seed_base("e6traj", u64::from(c), active as u64),
         |s| {
             let cfg = SimConfig::new(c)
                 .seed(s)
                 .stop_when(StopWhen::AllTerminated)
-                .trace_level(TraceLevel::Channels)
                 .max_rounds(1_000_000);
             let mut exec = Engine::new(cfg);
             for _ in 0..active {
                 exec.add_node(IdReduction::new(Params::practical(), c));
             }
-            exec
-        },
-        |_, report| {
-            report
-                .trace
+            let mut trace = Trace::new();
+            exec.run_observed(&mut trace)?;
+            Ok(trace
                 .rounds()
                 .iter()
                 .filter(|rt| rt.round % 3 == 0)
                 .map(|rt| rt.outcomes.iter().map(|oc| oc.transmitters as u64).sum())
-                .collect()
+                .collect())
         },
     );
     let mut traj_table = Table::new(&["rename attempt", "|A| mean", "|A| max", "target C/6"]);

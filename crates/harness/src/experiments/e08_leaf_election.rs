@@ -9,7 +9,7 @@ use mac_sim::{Engine, SimConfig, StopWhen};
 
 use super::{lg, seed_base};
 use crate::{sample_distinct, ExperimentReport, RunCtx, Samples};
-use mac_sim::trials::run_trials_with;
+use mac_sim::trials::run_trials;
 
 /// One trial's digest: (rounds to solve, per-phase search rounds of the winner).
 type Digest = (u64, Vec<u64>);
@@ -84,12 +84,11 @@ pub(crate) fn measure(
     binary: bool,
     occupancy: Occupancy,
 ) -> Vec<Digest> {
-    run_trials_with(
-        trials,
-        seed,
-        move |s| build_engine(c, x, s, binary, occupancy),
-        digest,
-    )
+    run_trials(trials, seed, |s| {
+        let mut exec = build_engine(c, x, s, binary, occupancy);
+        let report = exec.run()?;
+        Ok(digest(&exec, &report))
+    })
 }
 
 fn prev_pow2(x: u32) -> u32 {

@@ -17,7 +17,7 @@ use mac_sim::{CdMode, Engine, SimConfig};
 use super::seed_base;
 use crate::{cell_u64, sample_distinct, ExperimentReport, RunCtx, Samples};
 #[cfg(test)]
-use mac_sim::trials::{run_trials, run_trials_with};
+use mac_sim::trials::run_trials;
 
 /// Rounds-to-solve for one full-algorithm run.
 fn full_one(c: u32, n: u64, active: usize, seed: u64) -> u64 {
@@ -38,7 +38,7 @@ pub(crate) fn full_rounds(c: u32, n: u64, active: usize, trials: usize, seed: u6
         for _ in 0..active {
             exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
         }
-        exec
+        exec.run()
     })
     .iter()
     .map(|r| r.rounds_to_solve().expect("solved"))
@@ -93,23 +93,17 @@ pub(crate) fn full_solver_spines(
     trials: usize,
     seed: u64,
 ) -> Vec<Vec<PhaseStats>> {
-    run_trials_with(
-        trials,
-        seed,
-        |s| {
-            let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(10_000_000));
-            for _ in 0..active {
-                exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
-            }
-            exec
-        },
-        |exec, report| {
-            report
-                .solver
-                .map(|id| exec.node(id).phase_stats())
-                .unwrap_or_default()
-        },
-    )
+    run_trials(trials, seed, |s| {
+        let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(10_000_000));
+        for _ in 0..active {
+            exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
+        }
+        let report = exec.run()?;
+        Ok(report
+            .solver
+            .map(|id| exec.node(id).phase_stats())
+            .unwrap_or_default())
+    })
 }
 
 /// Mean rounds the solver spent in `name` across `spines`.

@@ -43,7 +43,7 @@ fn bare_rounds(c: u32, n: u64, active: usize, trials: usize, seed: u64) -> Vec<u
         for _ in 0..active {
             exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
         }
-        exec
+        exec.run()
     })
     .iter()
     .map(|r| r.rounds_to_solve().expect("solved"))

@@ -52,7 +52,7 @@ fn willard_rounds(n: u64, active: usize, trials: usize, seed: u64) -> Vec<u64> {
         for _ in 0..active {
             exec.add_node(Willard::new(n));
         }
-        exec
+        exec.run()
     })
     .iter()
     .map(|r| r.rounds_to_solve().expect("solved"))

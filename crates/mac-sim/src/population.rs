@@ -45,7 +45,6 @@ use rand::{Rng, SeedableRng};
 use crate::config::SimConfig;
 use crate::engine::{Engine, NodeId};
 use crate::feedback::FeedbackModel;
-use crate::obs::RunManifest;
 use crate::protocol::Protocol;
 use crate::rng::derive_stream_seed;
 use crate::traffic::{ArrivalProcess, ArrivalStream};
@@ -243,13 +242,6 @@ impl SparsePopulation {
             debug_assert!(id.0 < self.members.len());
         }
         engine
-    }
-
-    /// Stamps this population's shape (`n`, `|A|`) onto a run manifest, so
-    /// campaign exports record the sparse regime they measured.
-    #[must_use]
-    pub fn stamp(&self, manifest: RunManifest) -> RunManifest {
-        manifest.n(self.namespace).active(self.members.len() as u64)
     }
 
     /// The engine slot id of `virtual_id`, if activated.

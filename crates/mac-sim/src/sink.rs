@@ -1,12 +1,22 @@
 //! The observation layer: [`EventSink`], the single trait through which the
 //! round engine reports what happened.
 //!
-//! The engine core never records anything itself — it *emits* events, and
-//! observers accumulate them. [`crate::Metrics`] and [`crate::Trace`] are
-//! both implemented as sinks (the engine drives them through this trait when
-//! [`crate::SimConfig::record_metrics`] / [`crate::TraceLevel::Channels`]
-//! are enabled), and [`crate::render::ActivityRecorder`] shows how an
-//! external observer plugs in via [`crate::Engine::run_observed`].
+//! The engine *emits* events, and observers accumulate them. Every
+//! optional view is a sink the caller attaches through
+//! [`crate::Engine::run_observed`]: a [`Trace`] records channel outcomes,
+//! and [`crate::obs::RunRecorder`] and [`crate::obs::telemetry::TelemetrySink`]
+//! build records and telemetry.
+//!
+//! One view is not optional: the engine tallies [`Metrics`] inline, with
+//! the round's representative phase label, unless
+//! [`crate::SimConfig::record_metrics`] turns it off. It stays there
+//! because routing it through the caller's sink would hand it the caller's
+//! labels: a sink that asks for per-node phases
+//! ([`EventSink::wants_node_phases`]) would then change
+//! `transmissions_by_phase`, which the observer-effect suite pins as
+//! independent of what is attached. [`Metrics`] still implements this
+//! trait, so the inline tally and a standalone [`Metrics`] sink count the
+//! same way.
 //!
 //! All methods have no-op defaults, so a sink implements only what it cares
 //! about. `()` is the null sink.

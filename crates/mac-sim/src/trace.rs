@@ -1,20 +1,10 @@
-//! Optional per-round trace recording, for debugging and for the
-//! channel-activity visualizations in the experiment harness.
+//! Per-round trace recording, for debugging and for the channel-activity
+//! visualizations in the experiment harness. A [`Trace`] is an
+//! [`crate::EventSink`]: attach it with [`crate::Engine::run_observed`].
 
 use std::fmt;
 
 use crate::channel::ChannelOutcome;
-
-/// How much detail a run records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TraceLevel {
-    /// Record nothing (fastest; the default).
-    #[default]
-    Off,
-    /// Record, for every round, the outcome of every channel that had at
-    /// least one participant.
-    Channels,
-}
 
 /// The recorded activity of one round.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -285,8 +285,7 @@ pub struct TrafficReport {
     pub backlog_final: u64,
     /// Largest end-of-round backlog observed.
     pub backlog_peak: u64,
-    /// Sum of end-of-round backlogs — mean backlog is
-    /// [`TrafficReport::mean_backlog`].
+    /// Sum of end-of-round backlogs (divide by `rounds` for the mean).
     pub backlog_sum: u64,
     /// Rounds executed.
     pub rounds: u64,
@@ -309,29 +308,6 @@ impl TrafficReport {
         } else {
             self.delivered as f64 / self.rounds as f64
         }
-    }
-
-    /// Mean end-of-round backlog over the executed rounds.
-    #[must_use]
-    #[allow(clippy::cast_precision_loss)]
-    pub fn mean_backlog(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.backlog_sum as f64 / self.rounds as f64
-        }
-    }
-
-    /// Round of the first delivery, if any (the one-shot `solved_round`).
-    #[must_use]
-    pub fn first_delivery(&self) -> Option<u64> {
-        self.deliveries.first().map(|&(round, _)| round)
-    }
-
-    /// Latency quantile in rounds (see [`PowHistogram::quantile`]).
-    #[must_use]
-    pub fn latency_quantile(&self, q: f64) -> u64 {
-        self.latency.quantile(q)
     }
 
     /// Tallies this run into a telemetry registry: `traffic_*` counters,
@@ -895,7 +871,6 @@ mod tests {
         assert_eq!(report.backlog_final, 0);
         assert_eq!(report.latency.count(), 8);
         assert_eq!(report.deliveries.len(), 8);
-        assert!(report.first_delivery().is_some());
     }
 
     #[test]
@@ -1045,7 +1020,6 @@ mod tests {
         })
         .expect("traffic run");
         assert_eq!(report.latency.count(), report.delivered);
-        assert!(report.latency_quantile(0.5) <= report.latency_quantile(0.99));
         assert!(
             report.latency.min() >= 1,
             "latency counts the delivery round"

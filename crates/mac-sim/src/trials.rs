@@ -3,39 +3,34 @@
 //!
 //! A *trial* is one full engine run at one seed. Experiments need many of
 //! them — round-complexity curves average hundreds of runs per point — so
-//! this module spreads trials over OS threads while keeping results
+//! [`run_trials`] spreads trials over OS threads while keeping results
 //! **deterministic in the base seed regardless of thread count**: trial `i`
 //! always runs at seed `base_seed + i`, and results come back in trial
 //! order.
 //!
-//! Since the campaign refactor this layer is a thin adapter: each call
-//! schedules a single-cell [`campaign`](crate::campaign) whose aggregate
-//! collects results in seed order, so the trial layer and the sweep layer
-//! share one scheduler (and one determinism contract). Multi-cell sweeps
-//! should build a [`crate::campaign::Campaign`] directly — that is what
-//! keeps the pool saturated across grid points and enables streaming
-//! aggregation, progress, and resume.
+//! [`run_trials`] is the one fan-out. Its closure builds and runs one trial
+//! however the caller needs: [`Engine::run`](crate::Engine::run) for a full
+//! report, [`Engine::run_summary`](crate::Engine::run_summary) for the
+//! cheap solve data, [`Engine::run_observed`](crate::Engine::run_observed)
+//! with a [`RunRecorder`](crate::obs::RunRecorder),
+//! [`TelemetrySink`](crate::TelemetrySink) or [`Trace`](crate::Trace)
+//! attached, or [`run_traffic`](crate::run_traffic) plus
+//! [`TrafficReport::flush_to`](crate::TrafficReport::flush_to). It returns
+//! whatever the closure extracts — the report, the final protocol state,
+//! or both.
 //!
-//! * [`run_trials`] — the common case, collecting full [`RunReport`]s;
-//! * [`run_trials_with`] — map each finished engine through an `extract`
-//!   closure (to read final protocol state: adopted ids, survivor flags, …);
-//! * [`run_trials_summaries`] — the cheap path via [`Engine::run_summary`],
-//!   skipping the metrics/trace clones entirely;
-//! * [`run_trials_with_threads`] — explicit thread count, used by the
-//!   thread-count-invariance test;
-//! * [`run_trials_recorded`] — attach a [`RunRecorder`] per trial and get
-//!   `(report, record)` pairs for structured JSONL export.
+//! The fan-out is a thin adapter: each call schedules a single-cell
+//! [`campaign`](crate::campaign) whose aggregate collects results in seed
+//! order, so the trial layer and the sweep layer share one scheduler (and
+//! one determinism contract). Multi-cell sweeps should build a
+//! [`Campaign`] directly — that is what keeps the pool saturated across
+//! grid points and enables streaming aggregation, progress, and resume.
+//!
+//! [`guarded_verdict`] is the panic-isolated counterpart for fault
+//! experiments, where a wedged trial is a data point rather than a bug.
 
 use crate::campaign::{panic_message, Campaign, Cell, Collect, SeedStream};
-use crate::config::SimConfig;
-use crate::engine::{Engine, RunReport, RunSummary};
 use crate::error::SimError;
-use crate::feedback::FeedbackModel;
-use crate::obs::telemetry::{MetricsHub, TelemetrySink};
-use crate::obs::{RunRecord, RunRecorder};
-use crate::population::SparsePopulation;
-use crate::protocol::Protocol;
-use crate::traffic::{run_traffic, TrafficReport, TrafficSpec};
 
 /// Why a guarded trial ([`guarded_verdict`]) produced no solve.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,270 +101,30 @@ pub fn guarded_verdict<T>(run: impl FnOnce() -> Result<Option<T>, SimError>) -> 
     }
 }
 
-/// Runs `trials` independent executions built by `build` (which receives
-/// the trial's seed) and returns their reports in seed order.
+/// Runs `trials` independent trials, trial `i` at seed `base_seed + i`,
+/// and returns what `run` produced for each, in seed order.
 ///
-/// Trials are spread over `std::thread::available_parallelism()` threads;
-/// results are deterministic regardless of thread count because each trial
-/// is fully determined by its seed.
+/// `run` receives the trial's seed, builds and runs one trial, and returns
+/// whatever the caller wants to keep from it. Trials are spread over
+/// `std::thread::available_parallelism()` threads (capped at the trial
+/// count); results are deterministic regardless of thread count because
+/// each trial is fully determined by its seed. Each worker gets a
+/// contiguous range of seeds, so replaying a failed range is trivial.
 ///
 /// # Panics
 ///
 /// Panics if any trial fails (a timeout or protocol error is an experiment
 /// bug, not a data point — the panic message carries the seed for replay).
-pub fn run_trials<P, F, B>(trials: usize, base_seed: u64, build: B) -> Vec<RunReport>
-where
-    P: Protocol,
-    F: FeedbackModel,
-    B: Fn(u64) -> Engine<P, F> + Sync,
-{
-    run_trials_with(trials, base_seed, build, |_, report| report.clone())
-}
-
-/// Like [`run_trials`], but maps each finished execution through `extract`,
-/// which also receives the engine so it can inspect final protocol state
-/// (adopted ids, survivor flags, per-phase stats, …).
-///
-/// # Panics
-///
-/// Panics if any trial fails; the message carries the seed for replay.
-pub fn run_trials_with<P, F, B, G, T>(trials: usize, base_seed: u64, build: B, extract: G) -> Vec<T>
-where
-    P: Protocol,
-    F: FeedbackModel,
-    B: Fn(u64) -> Engine<P, F> + Sync,
-    G: Fn(&Engine<P, F>, &RunReport) -> T + Sync,
-    T: Send,
-{
-    let threads = default_threads(trials);
-    run_trials_with_threads(trials, base_seed, threads, build, extract)
-}
-
-/// Like [`run_trials`], but each trial uses the allocation-free
-/// [`Engine::run_summary`] path: no metrics or trace clones, just the
-/// [`RunSummary`] solve data. This is the right call for round-complexity
-/// sweeps that only read `solved_round`.
-///
-/// # Panics
-///
-/// Panics if any trial fails; the message carries the seed for replay.
-pub fn run_trials_summaries<P, F, B>(trials: usize, base_seed: u64, build: B) -> Vec<RunSummary>
-where
-    P: Protocol,
-    F: FeedbackModel,
-    B: Fn(u64) -> Engine<P, F> + Sync,
-{
-    single_cell(trials, base_seed, default_threads(trials), &|seed| {
-        let mut engine = build(seed);
-        engine
-            .run_summary()
-            .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"))
-    })
-}
-
-/// Like [`run_trials_with`] with an explicit worker-thread count.
-///
-/// Exists so tests can assert thread-count invariance; normal callers use
-/// [`run_trials_with`], which picks `available_parallelism()`.
-///
-/// # Panics
-///
-/// Panics if `threads == 0` or any trial fails.
-pub fn run_trials_with_threads<P, F, B, G, T>(
+pub fn run_trials<T: Send>(
     trials: usize,
     base_seed: u64,
-    threads: usize,
-    build: B,
-    extract: G,
-) -> Vec<T>
-where
-    P: Protocol,
-    F: FeedbackModel,
-    B: Fn(u64) -> Engine<P, F> + Sync,
-    G: Fn(&Engine<P, F>, &RunReport) -> T + Sync,
-    T: Send,
-{
-    single_cell(trials, base_seed, threads, &|seed| {
-        let mut engine = build(seed);
-        let report = engine
-            .run()
-            .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"));
-        extract(&engine, &report)
-    })
-}
-
-/// Sparse-population fan-out: like [`run_trials_summaries`], but each
-/// trial's engine is instantiated from a [`SparsePopulation`] — exactly
-/// `|A|` slots over a namespace of `pop.namespace()` identities, scheduled
-/// at the population's wake rounds. `config` receives the trial seed (so
-/// the master seed varies per trial); `make` receives each member's
-/// namespace identity.
-///
-/// This is the scaling-study path: per-trial cost is a function of `|A|`,
-/// not `n`, so round-complexity curves can sweep `n` to `2^22` and beyond
-/// without the engine ever materializing the sleeping namespace.
-///
-/// # Panics
-///
-/// Panics if any trial fails; the message carries the seed for replay.
-pub fn run_sparse_trials_summaries<P: Protocol>(
-    trials: usize,
-    base_seed: u64,
-    pop: &SparsePopulation,
-    config: impl Fn(u64) -> SimConfig + Sync,
-    make: impl Fn(u64) -> P + Sync,
-) -> Vec<RunSummary> {
-    single_cell(trials, base_seed, default_threads(trials), &|seed| {
-        let mut engine = pop.engine(config(seed), &make);
-        engine
-            .run_summary()
-            .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"))
-    })
-}
-
-/// Traffic fan-out: `trials` independent [`run_traffic`] executions, trial
-/// `i` at seed `base_seed + i`, reports in seed order. `config` receives
-/// the trial seed (and must thread it into [`SimConfig::seed`] — the
-/// master seed is what drives both the arrival stream and the node RNGs);
-/// `feedback` builds a fresh fault stack per trial; `make` builds the
-/// protocol for each packet by arrival sequence number.
-///
-/// Like every trial-layer call, results are deterministic in the base
-/// seed regardless of worker-thread count — the property the traffic
-/// equivalence and invariance tests pin.
-///
-/// # Panics
-///
-/// Panics if any trial fails (budget exhaustion is *not* a failure — it
-/// surfaces as [`crate::traffic::StopCause::BudgetExhausted`] in the
-/// report); the message carries the seed for replay.
-pub fn run_traffic_trials<P, F>(
-    trials: usize,
-    base_seed: u64,
-    spec: &TrafficSpec,
-    config: impl Fn(u64) -> SimConfig + Sync,
-    feedback: impl Fn(u64) -> F + Sync,
-    make: impl Fn(u64) -> P + Sync,
-) -> Vec<TrafficReport>
-where
-    P: Protocol,
-    F: FeedbackModel,
-{
-    single_cell(trials, base_seed, default_threads(trials), &|seed| {
-        run_traffic(config(seed), feedback(seed), spec, &make)
-            .unwrap_or_else(|e| panic!("traffic trial with seed {seed} failed: {e}"))
-    })
-}
-
-/// Like [`run_traffic_trials`], but flushes every trial's
-/// [`TrafficReport`] into `hub` — one flush per finished trial, into the
-/// shard indexed by the trial number, mirroring [`run_trials_observed`].
-/// Reports are bit-identical to [`run_traffic_trials`] at the same seeds.
-///
-/// # Panics
-///
-/// Panics if any trial fails; the message carries the seed for replay.
-pub fn run_traffic_trials_observed<P, F>(
-    trials: usize,
-    base_seed: u64,
-    hub: &MetricsHub,
-    spec: &TrafficSpec,
-    config: impl Fn(u64) -> SimConfig + Sync,
-    feedback: impl Fn(u64) -> F + Sync,
-    make: impl Fn(u64) -> P + Sync,
-) -> Vec<TrafficReport>
-where
-    P: Protocol,
-    F: FeedbackModel,
-{
-    single_cell(trials, base_seed, default_threads(trials), &|seed| {
-        let report = run_traffic(config(seed), feedback(seed), spec, &make)
-            .unwrap_or_else(|e| panic!("traffic trial with seed {seed} failed: {e}"));
-        let trial = seed.wrapping_sub(base_seed) as usize;
-        report.flush_to(hub, trial);
-        report
-    })
-}
-
-/// Like [`run_trials`], but attaches a [`RunRecorder`] to every trial and
-/// returns `(report, record)` pairs — the structured-record path used by
-/// record-emitting experiments and the `obsdiff record` probe. Each
-/// trial's [`RunRecord`] carries its own seed.
-///
-/// # Panics
-///
-/// Panics if any trial fails; the message carries the seed for replay.
-pub fn run_trials_recorded<P, F, B>(
-    trials: usize,
-    base_seed: u64,
-    build: B,
-) -> Vec<(RunReport, RunRecord)>
-where
-    P: Protocol,
-    F: FeedbackModel,
-    B: Fn(u64) -> Engine<P, F> + Sync,
-{
-    single_cell(trials, base_seed, default_threads(trials), &|seed| {
-        let mut engine = build(seed);
-        let mut recorder = RunRecorder::new();
-        let report = engine
-            .run_observed(&mut recorder)
-            .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"));
-        (report, recorder.into_record(seed))
-    })
-}
-
-/// Like [`run_trials`], but every trial runs with a [`TelemetrySink`]
-/// attached and flushes its engine-layer tallies into `hub` — one flush
-/// per finished trial, into the shard indexed by the trial number, so the
-/// engine hot loop never touches the shared hub. Reports are bit-identical
-/// to [`run_trials`] at the same seeds: the sink draws no randomness and
-/// never feeds back into scheduling.
-///
-/// # Panics
-///
-/// Panics if any trial fails; the message carries the seed for replay.
-pub fn run_trials_observed<P, F, B>(
-    trials: usize,
-    base_seed: u64,
-    hub: &MetricsHub,
-    build: B,
-) -> Vec<RunReport>
-where
-    P: Protocol,
-    F: FeedbackModel,
-    B: Fn(u64) -> Engine<P, F> + Sync,
-{
-    single_cell(trials, base_seed, default_threads(trials), &|seed| {
-        let mut engine = build(seed);
-        let mut sink = TelemetrySink::new();
-        let report = engine
-            .run_observed(&mut sink)
-            .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"));
-        let trial = seed.wrapping_sub(base_seed) as usize;
-        sink.flush_to(hub, trial);
-        report
-    })
-}
-
-/// Default worker count: `available_parallelism()`, capped at the trial
-/// count so tiny batches don't spawn idle threads.
-fn default_threads(trials: usize) -> usize {
-    let threads = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
-    threads.min(trials.max(1))
-}
-
-/// Schedules one cell on the campaign pool and returns its results in seed
-/// order. The shard size is the historical contiguous chunking
-/// (`trials.div_ceil(threads)`), so each worker's seeds stay contiguous
-/// and replaying a failed chunk by seed range is trivial.
-fn single_cell<T: Send>(
-    trials: usize,
-    base_seed: u64,
-    threads: usize,
-    run_one: &(dyn Fn(u64) -> T + Sync),
+    run: impl Fn(u64) -> Result<T, SimError> + Sync,
 ) -> Vec<T> {
-    assert!(threads > 0, "at least one worker thread is required");
+    // Borrowed into the cell, so `run` need only be `Sync`, not `Send`.
+    let run = &run;
+    let threads = std::thread::available_parallelism()
+        .map_or(4, std::num::NonZeroUsize::get)
+        .min(trials.max(1));
     let mut campaign = Campaign::new()
         .workers(threads)
         .shard_size(trials.div_ceil(threads).max(1));
@@ -377,7 +132,10 @@ fn single_cell<T: Send>(
         trials,
         SeedStream::Offset(base_seed),
         Collect::default,
-        move |seed, acc: &mut Collect<T>| acc.0.push(run_one(seed)),
+        move |seed, acc: &mut Collect<T>| {
+            let value = run(seed).unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"));
+            acc.0.push(value);
+        },
     ));
     campaign
         .run_collect()
@@ -392,8 +150,12 @@ mod tests {
     use super::*;
     use crate::action::{Action, Feedback};
     use crate::channel::ChannelId;
-    use crate::config::SimConfig;
-    use crate::protocol::{RoundContext, Status};
+    use crate::config::{CdMode, SimConfig};
+    use crate::engine::{Engine, RunReport, RunSummary};
+    use crate::obs::telemetry::{MetricsHub, TelemetrySink};
+    use crate::obs::RunRecorder;
+    use crate::protocol::{Protocol, RoundContext, Status};
+    use crate::traffic::{run_traffic, ArrivalProcess, BackoffMac, TrafficReport, TrafficSpec};
     use rand::rngs::SmallRng;
     use rand::Rng;
 
@@ -423,22 +185,16 @@ mod tests {
         engine
     }
 
+    fn reports(trials: usize, base_seed: u64) -> Vec<RunReport> {
+        run_trials(trials, base_seed, |seed| build(seed).run())
+    }
+
     #[test]
     fn trials_are_deterministic_and_seed_ordered() {
-        let a: Vec<_> = run_trials(8, 100, build)
-            .iter()
-            .map(|r| r.solved_round)
-            .collect();
-        let b: Vec<_> = run_trials(8, 100, build)
-            .iter()
-            .map(|r| r.solved_round)
-            .collect();
-        assert_eq!(a, b);
-        let c: Vec<_> = run_trials(8, 999, build)
-            .iter()
-            .map(|r| r.solved_round)
-            .collect();
-        assert_ne!(a, c);
+        let solved = |base| -> Vec<_> { reports(8, base).iter().map(|r| r.solved_round).collect() };
+        let a = solved(100);
+        assert_eq!(a, solved(100));
+        assert_ne!(a, solved(999));
         // Trial i is exactly the run at seed base + i.
         let solo = build(103).run().unwrap();
         assert_eq!(a[3], solo.solved_round);
@@ -446,33 +202,49 @@ mod tests {
 
     #[test]
     fn results_are_thread_count_invariant() {
-        let extract = |_: &Engine<Flip>, r: &RunReport| r.summary();
-        let one = run_trials_with_threads(13, 7, 1, build, extract);
-        for threads in [2, 3, 8, 32] {
-            let many = run_trials_with_threads(13, 7, threads, build, extract);
-            assert_eq!(one, many, "{threads} threads diverged from 1 thread");
+        let expected = run_trials(13, 7, |seed| build(seed).run_summary());
+        for threads in [1, 2, 3, 8, 32] {
+            let mut campaign = Campaign::new()
+                .workers(threads)
+                .shard_size(13_usize.div_ceil(threads));
+            campaign.push(Cell::new(
+                13,
+                SeedStream::Offset(7),
+                Collect::default,
+                |seed, acc: &mut Collect<RunSummary>| {
+                    acc.0.push(build(seed).run_summary().unwrap())
+                },
+            ));
+            let many = campaign.run_collect().remove(0).0;
+            assert_eq!(expected, many, "{threads} threads diverged from run_trials");
         }
     }
 
     #[test]
     fn summaries_match_full_reports() {
-        let reports = run_trials(6, 42, build);
-        let summaries = run_trials_summaries(6, 42, build);
-        let from_reports: Vec<_> = reports.iter().map(RunReport::summary).collect();
+        let summaries = run_trials(6, 42, |seed| build(seed).run_summary());
+        let from_reports: Vec<_> = reports(6, 42).iter().map(RunReport::summary).collect();
         assert_eq!(summaries, from_reports);
     }
 
     #[test]
     fn extract_sees_final_engine_state() {
-        let lens = run_trials_with(3, 5, build, |engine, _| engine.len());
+        let lens = run_trials(3, 5, |seed| {
+            let mut engine = build(seed);
+            engine.run()?;
+            Ok(engine.len())
+        });
         assert_eq!(lens, vec![4, 4, 4]);
     }
 
     #[test]
     fn recorded_trials_match_reports() {
-        let pairs = run_trials_recorded(4, 42, build);
-        let reports = run_trials(4, 42, build);
-        for ((report, record), plain) in pairs.iter().zip(&reports) {
+        let pairs = run_trials(4, 42, |seed| {
+            let mut recorder = RunRecorder::new();
+            let report = build(seed).run_observed(&mut recorder)?;
+            Ok((report, recorder.into_record(seed)))
+        });
+        for ((report, record), plain) in pairs.iter().zip(&reports(4, 42)) {
             assert_eq!(report.solved_round, plain.solved_round);
             assert_eq!(record.transmissions, report.metrics.transmissions);
             assert_eq!(record.listens, report.metrics.listens);
@@ -484,84 +256,54 @@ mod tests {
 
     #[test]
     fn observed_trials_match_bare_and_tally_into_the_hub() {
-        let bare: Vec<_> = run_trials(6, 42, build)
-            .iter()
-            .map(RunReport::summary)
-            .collect();
+        let bare: Vec<_> = reports(6, 42).iter().map(RunReport::summary).collect();
         let hub = MetricsHub::new(3);
-        let observed: Vec<_> = run_trials_observed(6, 42, &hub, build)
-            .iter()
-            .map(RunReport::summary)
-            .collect();
+        let observed = run_trials(6, 42, |seed| {
+            let mut sink = TelemetrySink::new();
+            let report = build(seed).run_observed(&mut sink)?;
+            sink.flush_to(&hub, (seed - 42) as usize);
+            Ok(report.summary())
+        });
         assert_eq!(bare, observed, "telemetry perturbed the runs");
         let snap = hub.snapshot();
         assert_eq!(snap.registry.counter("engine_runs_total"), 6);
         assert_eq!(snap.registry.counter("engine_solved_total"), 6);
-        let rounds: u64 = run_trials(6, 42, build)
-            .iter()
-            .map(|r| r.rounds_executed)
-            .sum();
+        let rounds: u64 = bare.iter().map(|r| r.rounds_executed).sum();
         assert_eq!(snap.registry.counter("engine_rounds_total"), rounds);
     }
 
     #[test]
     fn single_trial_works() {
-        assert_eq!(run_trials(1, 0, build).len(), 1);
+        assert_eq!(reports(1, 0).len(), 1);
+    }
+
+    fn traffic(seed: u64, rate: f64, packets: u64) -> Result<TrafficReport, SimError> {
+        let spec = TrafficSpec::new(ArrivalProcess::Poisson { rate }, packets);
+        let config = SimConfig::new(2).seed(seed).max_rounds(100_000);
+        run_traffic(config, CdMode::Strong, &spec, |pkt| {
+            BackoffMac::new(2, 64, pkt)
+        })
     }
 
     #[test]
     fn traffic_trials_are_deterministic_and_seed_indexed() {
-        use crate::config::CdMode;
-        use crate::traffic::{ArrivalProcess, BackoffMac};
-        let spec = TrafficSpec::new(ArrivalProcess::Poisson { rate: 0.3 }, 80);
-        let run = |base| {
-            run_traffic_trials(
-                5,
-                base,
-                &spec,
-                |seed| SimConfig::new(2).seed(seed).max_rounds(100_000),
-                |_| CdMode::Strong,
-                |pkt| BackoffMac::new(2, 64, pkt),
-            )
-        };
+        let run = |base| run_trials(5, base, |seed| traffic(seed, 0.3, 80));
         let a = run(300);
         assert_eq!(a, run(300));
         assert_ne!(a, run(301), "different base seed, different traffic");
         // Trial i is exactly the solo run at seed base + i.
-        let solo = crate::traffic::run_traffic(
-            SimConfig::new(2).seed(303).max_rounds(100_000),
-            CdMode::Strong,
-            &spec,
-            |pkt| BackoffMac::new(2, 64, pkt),
-        )
-        .unwrap();
-        assert_eq!(a[3], solo);
+        assert_eq!(a[3], traffic(303, 0.3, 80).unwrap());
     }
 
     #[test]
     fn observed_traffic_trials_match_bare_and_tally_into_the_hub() {
-        use crate::config::CdMode;
-        use crate::traffic::{ArrivalProcess, BackoffMac};
-        let spec = TrafficSpec::new(ArrivalProcess::Poisson { rate: 0.4 }, 60);
-        let config = |seed| SimConfig::new(2).seed(seed).max_rounds(100_000);
-        let bare = run_traffic_trials(
-            4,
-            7,
-            &spec,
-            config,
-            |_| CdMode::Strong,
-            |pkt| BackoffMac::new(2, 64, pkt),
-        );
+        let bare = run_trials(4, 7, |seed| traffic(seed, 0.4, 60));
         let hub = MetricsHub::new(2);
-        let observed = run_traffic_trials_observed(
-            4,
-            7,
-            &hub,
-            &spec,
-            config,
-            |_| CdMode::Strong,
-            |pkt| BackoffMac::new(2, 64, pkt),
-        );
+        let observed = run_trials(4, 7, |seed| {
+            let report = traffic(seed, 0.4, 60)?;
+            report.flush_to(&hub, (seed - 7) as usize);
+            Ok(report)
+        });
         assert_eq!(bare, observed, "telemetry perturbed the traffic runs");
         let snap = hub.snapshot();
         assert_eq!(snap.registry.counter("traffic_runs_total"), 4);
@@ -635,6 +377,6 @@ mod tests {
             engine.add_node(Always);
             engine
         };
-        let _ = run_trials(2, 0, build);
+        let _ = run_trials(2, 0, |seed| build(seed).run());
     }
 }

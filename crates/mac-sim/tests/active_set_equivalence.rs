@@ -7,8 +7,9 @@
 //! schedules × collision-detection modes × fault layers, both must
 //! produce **bit-identical** results: the same [`RunReport`] (solve data,
 //! leaders, active survivors, full metrics) and the same structured
-//! [`RunRecord`] (span accounting, per-channel tallies) — not merely the
-//! same solve round. Any divergence means the agenda/live-set/retirement
+//! [`RunRecord`] (span accounting, per-channel tallies) and the same
+//! channel [`Trace`] (every round's outcomes) — not merely the same solve
+//! round. Any divergence means the agenda/live-set/retirement
 //! bookkeeping changed observable semantics, which is exactly what this
 //! suite exists to catch.
 
@@ -17,7 +18,7 @@ use mac_sim::fault::{CrashStop, JamBudget, Layered, LossyChannel, NoisyCd};
 use mac_sim::obs::{RunRecord, RunRecorder};
 use mac_sim::{
     Action, CdMode, ChannelId, Engine, Feedback, FeedbackModel, Metrics, NodeId, Protocol,
-    RoundContext, RunReport, SimConfig, SlotState, Status, StepStatus, StopWhen,
+    RoundContext, RunReport, SimConfig, SlotState, Status, StepStatus, StopWhen, Trace,
 };
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
@@ -87,6 +88,7 @@ impl Protocol for Backoff {
 type Fingerprint = (
     Result<RunReportKey, String>,
     RunRecord, // wall_ns normalized to 0
+    Trace,     // every round's channel outcomes
 );
 
 type RunReportKey = (
@@ -199,20 +201,21 @@ fn run_workload(w: &Workload, dense: bool) -> Fingerprint {
         type Out = Fingerprint;
         fn run<F: FeedbackModel>(self, feedback: F) -> Fingerprint {
             let w = self.w;
-            let mut recorder = RunRecorder::new();
+            let mut sinks = (RunRecorder::new(), Trace::new());
             let outcome = if self.dense {
                 let mut eng = DenseEngine::with_feedback(config(w), feedback);
                 for &offset in &w.wake_offsets {
                     eng.add_node_at(Backoff::new(w.channels), offset);
                 }
-                eng.run_observed(&mut recorder)
+                eng.run_observed(&mut sinks)
             } else {
                 let mut eng = Engine::with_feedback(config(w), feedback);
                 for &offset in &w.wake_offsets {
                     eng.add_node_at(Backoff::new(w.channels), offset);
                 }
-                eng.run_observed(&mut recorder)
+                eng.run_observed(&mut sinks)
             };
+            let (recorder, trace) = sinks;
             let key = outcome
                 .as_ref()
                 .map(report_key)
@@ -224,7 +227,7 @@ fn run_workload(w: &Workload, dense: bool) -> Fingerprint {
             for span in &mut record.spans {
                 span.wall_ns = 0;
             }
-            (key, record)
+            (key, record, trace)
         }
     }
     with_faults(w, ToFinish { w, dense })

@@ -10,8 +10,9 @@
 //!   several yields identical results, because each trial's engine (fault
 //!   state included) is rebuilt from its own seed.
 
+use mac_sim::campaign::{Campaign, Cell, Collect, SeedStream};
 use mac_sim::fault::{CrashStop, JamBudget, Layered, LossyChannel, NoisyCd};
-use mac_sim::trials::run_trials_with_threads;
+use mac_sim::trials::run_trials;
 use mac_sim::{
     Action, CdMode, ChannelId, Engine, Feedback, FeedbackModel, Metrics, NodeId, Protocol,
     RoundContext, RunReport, SimConfig, Status,
@@ -177,26 +178,27 @@ fn different_seeds_actually_differ() {
 
 #[test]
 fn thread_count_does_not_change_faulted_trial_results() {
-    fn fan<F: FeedbackModel>(
-        threads: usize,
-        make_feedback: &(impl Fn() -> F + Sync),
-    ) -> Vec<Fingerprint> {
-        run_trials_with_threads(
-            12,
-            900,
-            threads,
-            |seed| engine_with(seed, make_feedback()),
-            |_, report| fingerprint(report),
-        )
-    }
-
     fn check<F: FeedbackModel>(name: &str, make_feedback: impl Fn() -> F + Sync) {
-        let single = fan(1, &make_feedback);
-        for threads in [2, 5] {
+        let trial = |seed| {
+            engine_with(seed, make_feedback())
+                .run()
+                .map(|r| fingerprint(&r))
+        };
+        let expected = run_trials(12, 900, trial);
+        for threads in [1, 2, 5] {
+            let mut campaign = Campaign::new()
+                .workers(threads)
+                .shard_size(12_usize.div_ceil(threads));
+            campaign.push(Cell::new(
+                12,
+                SeedStream::Offset(900),
+                Collect::default,
+                |seed, acc: &mut Collect<Fingerprint>| acc.0.push(trial(seed).unwrap()),
+            ));
             assert_eq!(
-                single,
-                fan(threads, &make_feedback),
-                "{name}: {threads} threads diverged from 1 thread"
+                expected,
+                campaign.run_collect().remove(0).0,
+                "{name}: {threads} threads diverged from run_trials"
             );
         }
     }

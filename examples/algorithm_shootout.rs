@@ -22,9 +22,10 @@ const ACTIVE: usize = 1 << 14;
 const TRIALS: usize = 12;
 
 fn mean_rounds(build: impl Fn(u64) -> Engine<Box<dyn mac_sim::Protocol<Msg = u32>>> + Sync) -> f64 {
-    // The summaries path skips metrics/trace entirely — all this shootout
-    // needs is the solve round — and fans the trials out over threads.
-    let total: u64 = mac_sim::trials::run_trials_summaries(TRIALS, 0, build)
+    // The summary path skips the metrics clone — all this shootout needs
+    // is the solve round — and the trial layer fans the runs out over
+    // threads.
+    let total: u64 = mac_sim::trials::run_trials(TRIALS, 0, |seed| build(seed).run_summary())
         .iter()
         .map(|s| s.rounds_to_solve().expect("solved"))
         .sum();

@@ -4,7 +4,7 @@
 
 use contention::baselines::CdTournament;
 use contention::{FullAlgorithm, Params, TwoActive};
-use mac_sim::{Engine, RunReport, SimConfig, StopWhen};
+use mac_sim::{CdMode, Engine, RunReport, SimConfig, StopWhen, Trace};
 
 fn run_full(seed: u64, c: u32, n: u64, active: usize) -> RunReport {
     let cfg = SimConfig::new(c)
@@ -72,37 +72,39 @@ fn harness_parallel_runner_is_deterministic() {
         for _ in 0..32 {
             exec.add_node(CdTournament::new());
         }
-        exec
+        exec.run().map(|r| r.solved_round)
     };
-    let a: Vec<Option<u64>> = run_trials(16, 5, build)
-        .iter()
-        .map(|r| r.solved_round)
-        .collect();
-    let b: Vec<Option<u64>> = run_trials(16, 5, build)
-        .iter()
-        .map(|r| r.solved_round)
-        .collect();
+    let a: Vec<Option<u64>> = run_trials(16, 5, build);
+    let b: Vec<Option<u64>> = run_trials(16, 5, build);
     assert_eq!(a, b, "thread scheduling leaked into results");
 }
 
 #[test]
 fn trial_results_are_thread_count_invariant() {
-    use mac_sim::trials::run_trials_with_threads;
-    let build = |seed: u64| {
+    use mac_sim::campaign::{Campaign, Cell, Collect, SeedStream};
+    use mac_sim::trials::run_trials;
+    let trial = |seed: u64| {
         let mut engine = Engine::new(SimConfig::new(4).seed(seed).max_rounds(100_000));
         for _ in 0..24 {
             engine.add_node(CdTournament::new());
         }
-        engine
+        let r = engine.run()?;
+        Ok((r.summary(), r.metrics.transmissions_per_node))
     };
-    let extract = |_: &Engine<CdTournament>, r: &RunReport| {
-        (r.summary(), r.metrics.transmissions_per_node.clone())
-    };
-    let serial = run_trials_with_threads(17, 900, 1, build, extract);
-    for threads in [2, 4, 7, 16] {
-        let parallel = run_trials_with_threads(17, 900, threads, build, extract);
+    let expected = run_trials(17, 900, trial);
+    for threads in [1, 2, 4, 7, 16] {
+        let mut campaign = Campaign::new()
+            .workers(threads)
+            .shard_size(17_usize.div_ceil(threads));
+        campaign.push(Cell::new(
+            17,
+            SeedStream::Offset(900),
+            Collect::default,
+            |seed, acc: &mut Collect<_>| acc.0.push(trial(seed).unwrap()),
+        ));
         assert_eq!(
-            serial, parallel,
+            expected,
+            campaign.run_collect().remove(0).0,
             "{threads} worker threads changed trial results"
         );
     }
@@ -110,18 +112,45 @@ fn trial_results_are_thread_count_invariant() {
 
 #[test]
 fn trace_is_reproducible() {
-    use mac_sim::TraceLevel;
     let run = || {
         let cfg = SimConfig::new(16)
             .seed(3)
-            .trace_level(TraceLevel::Channels)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(100_000);
         let mut exec = Engine::new(cfg);
         for _ in 0..10 {
             exec.add_node(FullAlgorithm::new(Params::practical(), 16, 1 << 8));
         }
-        exec.run().expect("runs").trace
+        let mut trace = Trace::new();
+        exec.run_observed(&mut trace).expect("runs");
+        trace
     };
     assert_eq!(run(), run());
+}
+
+/// Known answers for the channel trace: `tests/fixtures/trace_known_answers.txt`
+/// holds the `Display` rendering of full-pipeline traces under every CD
+/// mode, captured from the engine's former built-in trace recorder. A
+/// [`Trace`] attached as a sink must reproduce it byte for byte, including
+/// the partial traces of runs that hit the round cap.
+#[test]
+fn trace_sink_matches_known_answers() {
+    let mut out = String::new();
+    for mode in [CdMode::Strong, CdMode::ReceiverOnly, CdMode::None] {
+        for seed in [1u64, 2, 3] {
+            let cfg = SimConfig::new(8)
+                .seed(seed)
+                .cd_mode(mode)
+                .stop_when(StopWhen::AllTerminated)
+                .max_rounds(48);
+            let mut exec = Engine::new(cfg);
+            for _ in 0..6 {
+                exec.add_node(FullAlgorithm::new(Params::practical(), 8, 1 << 6));
+            }
+            let mut trace = Trace::new();
+            let ok = exec.run_observed(&mut trace).is_ok();
+            out.push_str(&format!("== {mode:?} seed {seed} ok={ok}\n{trace}"));
+        }
+    }
+    assert_eq!(out, include_str!("fixtures/trace_known_answers.txt"));
 }
